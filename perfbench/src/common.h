@@ -135,8 +135,6 @@ class SpanLog {
     return span.end_ns - span.start_ns;
   }
 
-  const std::vector<Span>& spans() const { return spans_; }
-
   /// Writes one JSON object per line: name, id, parent, start_ns, end_ns.
   bool WriteJsonLines(const std::string& path) const;
 
