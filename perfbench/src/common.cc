@@ -64,9 +64,9 @@ void Report::Add(const std::string& name, double value,
   metrics_.push_back(Entry{name, value, unit});
 }
 
-bool Report::AddQuantile(const std::string& name,
-                         std::vector<double>& samples, double q,
-                         const std::string& unit) {
+Quantile Report::NoteQuantile(const std::string& name,
+                              std::vector<double>& samples, double q,
+                              const std::string& unit) {
   const Quantile quantile = NearestRank(samples, q);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -74,6 +74,13 @@ bool Report::AddQuantile(const std::string& name,
                 name.c_str(), quantile.value, unit.c_str(), quantile.count,
                 quantile.beyond);
   Note(buf);
+  return quantile;
+}
+
+bool Report::AddQuantile(const std::string& name,
+                         std::vector<double>& samples, double q,
+                         const std::string& unit) {
+  const Quantile quantile = NoteQuantile(name, samples, q, unit);
   if (quantile.count == 0 ||
       (q > 0.5 && quantile.beyond < kMinTailSupport)) {
     std::fprintf(stderr,

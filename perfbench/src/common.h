@@ -77,6 +77,12 @@ class Report {
   bool AddQuantile(const std::string& name, std::vector<double>& samples,
                    double q, const std::string& unit);
 
+  /// Prints percentile `q` of `samples` with its sample count and the
+  /// number of samples beyond it, without adding it to the result.
+  static Quantile NoteQuantile(const std::string& name,
+                               std::vector<double>& samples, double q,
+                               const std::string& unit);
+
   /// Prints "# <text>" on stdout.
   static void Note(const std::string& text);
 

@@ -145,7 +145,7 @@ int Run(perfbench::RunArgs args) {
     return 3;
   }
   static constexpr const char* kEndToEnd[] = {
-      "setup_s", "throughput_rps", "latency_p50_us", "latency_p99_us",
+      "setup_s", "throughput_rps", "latency_p50_us", "latency_p90_us",
       "ok_frac", "peak_rss_mb",    "solve_s"};
   if (!args.trace) {
     for (const char* name : kEndToEnd) {

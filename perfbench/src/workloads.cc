@@ -74,6 +74,18 @@ std::string ExitError(const ServerProcess::Exit& exit) {
   return text;
 }
 
+/// The latency metrics of a run, from the samples of its kept windows: p50
+/// and p90. The p99 is printed with its evidence but not reported: on a
+/// shared VM more than 1% of requests can wait out a scheduler time slice
+/// whenever the host is oversubscribed, so the p99 measures the neighbours:
+/// over runs of the same code its interquartile range can exceed its
+/// median, while the p90 moves with the p50.
+void AddLatencies(std::vector<double>& samples, Report* report) {
+  report->AddQuantile("latency_p50_us", samples, 0.5, "us");
+  report->AddQuantile("latency_p90_us", samples, 0.9, "us");
+  Report::NoteQuantile("latency_p99_us", samples, 0.99, "us");
+}
+
 double PeakRssSelfMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -166,19 +178,6 @@ void RunServeWorkload(const RunArgs& args, bool bulk, Outcome* out) {
                           static_cast<double>(traffic.answers_per_line) /
                           NsToS(loop.done_ns.back() - loop.start_ns)) +
                " answers/s");
-  // The tail is the median of the kept windows' p99s: a kept window can
-  // still hold a short stall, and one window must not set the tail.
-  std::vector<double> window_p99;
-  size_t beyond = 0;
-  for (Window& w : quiet) {
-    const Quantile p99 = NearestRank(w.latency_us, 0.99);
-    window_p99.push_back(p99.value);
-    beyond = p99.beyond;
-  }
-  Report::Note("percentile latency_p99_us = " + JsonNumber(Median(window_p99)) +
-               " us (median of " + std::to_string(window_p99.size()) +
-               " window p99s; samples=" + std::to_string(kWindowLines) +
-               ", beyond=" + std::to_string(beyond) + " each)");
   std::vector<double> quiet_latency = AllLatencies(quiet);
 
   Report& report = out->report;
@@ -190,10 +189,7 @@ void RunServeWorkload(const RunArgs& args, bool bulk, Outcome* out) {
   Report::Note(setup_text);
   report.Add("setup_s", Median(setup_s), "s");
   report.Add("throughput_rps", answers / quiet_s, "1/s");
-  report.AddQuantile("latency_p50_us", quiet_latency, 0.5, "us");
-  if (beyond >= kMinTailSupport) {
-    report.Add("latency_p99_us", Median(window_p99), "us");
-  }
+  AddLatencies(quiet_latency, &report);
   out->attempted = loop.checked_answers;
   out->failed = loop.wrong_answers;
   report.Add("ok_frac",
@@ -270,8 +266,7 @@ void RunFig4Workload(const RunArgs& args, Outcome* out) {
   report.Add("setup_s", Median(setup_s), "s");
   report.Add("throughput_rps",
              static_cast<double>(quiet_latency.size()) / quiet_s, "1/s");
-  report.AddQuantile("latency_p50_us", quiet_latency, 0.5, "us");
-  report.AddQuantile("latency_p99_us", quiet_latency, 0.99, "us");
+  AddLatencies(quiet_latency, &report);
   report.Add("ok_frac",
              static_cast<double>(out->attempted - out->failed) /
                  static_cast<double>(out->attempted),
