@@ -1,6 +1,7 @@
 #include "snapshot/snapshot.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "analysis/options.h"
 #include "analysis/pairing.h"
 #include "datagen/world.h"
+#include "flavor/registry_io.h"
+#include "recipe/database.h"
 #include "robustness/fault_injector.h"
 #include "snapshot/format.h"
 
@@ -44,6 +47,15 @@ class SnapshotTest : public ::testing::Test {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
     std::remove((path_ + ".quarantined").c_str());
+    for (const std::string& csv : CsvFiles()) std::remove(csv.c_str());
+  }
+
+  /// Prefix of the CSV export a test may write next to its snapshot.
+  std::string CsvPrefix() const { return path_ + "_csv"; }
+  /// The export's three files in digest order: molecules, entities, recipes.
+  std::vector<std::string> CsvFiles() const {
+    return {CsvPrefix() + "_molecules.csv", CsvPrefix() + "_entities.csv",
+            CsvPrefix() + "_recipes.csv"};
   }
 
   /// Generates a miniature world for `seed` and wraps it as a LoadedWorld
@@ -153,6 +165,49 @@ TEST_F(SnapshotTest, Figure4ZScoresSurviveRoundTripAtEveryThreadCount) {
       }
     }
   }
+}
+
+// The ingest contract: a CSV cold start (export, parse the registry and the
+// recipes back, build the world PairingCache) and a snapshot written from
+// that world and pinned to the digest of the CSV bytes reach the same
+// triangle and the same first statistic. Exact on purpose: falling back
+// from the snapshot to the CSVs must be invisible to analysis output.
+TEST_F(SnapshotTest, CsvColdStartAndSnapshotLoadReachTheSameFirstStatistic) {
+  auto generated = datagen::GenerateWorld(datagen::WorldSpec::Small());
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const std::vector<std::string> files = CsvFiles();
+  ASSERT_TRUE(
+      flavor::SaveRegistryCsv(generated->registry(), CsvPrefix()).ok());
+  ASSERT_TRUE(generated->db().SaveCsv(files[2]).ok());
+  auto digest = DigestFiles(files);
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+
+  auto registry = flavor::LoadRegistryCsv(CsvPrefix());
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  LoadedWorld csv_world;
+  csv_world.registry_ptr =
+      std::make_unique<flavor::FlavorRegistry>(std::move(registry).value());
+  auto db =
+      recipe::RecipeDatabase::LoadCsv(files[2], csv_world.registry_ptr.get());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  csv_world.database =
+      std::make_unique<recipe::RecipeDatabase>(std::move(db).value());
+  const recipe::Cuisine csv_cuisine = csv_world.db().WorldCuisine();
+  csv_world.world_cache.emplace(csv_world.registry(),
+                                csv_cuisine.unique_ingredients(),
+                                AnalysisOptions{});
+  const double csv_first_stat =
+      analysis::CuisineMeanPairing(*csv_world.world_cache, csv_cuisine);
+
+  ASSERT_TRUE(WriteSnapshotForWorld(csv_world, digest.value(), path_).ok());
+  auto loaded = LoadWorldSnapshot(path_, {.expected_digest = digest.value()});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->world_cache.has_value());
+  EXPECT_EQ(loaded->world_cache->triangle(),
+            csv_world.world_cache->triangle());
+  const recipe::Cuisine snap_cuisine = loaded->db().WorldCuisine();
+  EXPECT_EQ(analysis::CuisineMeanPairing(*loaded->world_cache, snap_cuisine),
+            csv_first_stat);
 }
 
 TEST_F(SnapshotTest, ViewExposesVersionDigestAndSections) {
