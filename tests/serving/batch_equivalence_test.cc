@@ -9,6 +9,7 @@
 // A second test hammers ExecuteBatch / Submit against Reload and Stop, the
 // tsan companion to engine_race_test for the batch paths.
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -129,6 +130,32 @@ TEST(BatchEquivalenceTest, BatchMatchesSequentialExecute) {
       const QueryEngine::Stats stats = engine.stats();
       EXPECT_EQ(stats.shed, 0u);
       EXPECT_EQ(stats.executed, 3 * kRequests);
+
+      // Concurrent clients, each sending ExecuteBatch chunks of 16 (the
+      // engine's batch_max, the size of one wire batch line).
+      constexpr size_t kChunk = 16;
+      constexpr size_t kClients = 4;
+      std::vector<std::string> chunked(requests.size());
+      std::vector<std::thread> clients;
+      for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          for (size_t begin = c * kChunk; begin < requests.size();
+               begin += kClients * kChunk) {
+            const size_t end = std::min(begin + kChunk, requests.size());
+            const std::vector<Response> answers = engine.ExecuteBatch(
+                std::vector<Request>(requests.begin() + begin,
+                                     requests.begin() + end));
+            for (size_t i = begin; i < end; ++i) {
+              chunked[i] =
+                  SerializeResponse(std::to_string(i), answers[i - begin]);
+            }
+          }
+        });
+      }
+      for (std::thread& client : clients) client.join();
+      EXPECT_EQ(chunked, expected)
+          << "chunked ExecuteBatch diverged (seed=" << seed
+          << " threads=" << threads << ")";
       engine.Stop();
     }
   }
