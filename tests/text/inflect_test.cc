@@ -1,5 +1,7 @@
 #include "text/inflect.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace culinary::text {
@@ -9,6 +11,13 @@ struct SingularCase {
   const char* plural;
   const char* singular;
 };
+
+// Cases print as their words, so the ctest names gtest_discover_tests
+// derives from them stay the same from one build to the next (the default
+// printer dumps the struct's pointer bytes).
+void PrintTo(const SingularCase& c, std::ostream* os) {
+  *os << '"' << c.plural << "\" -> \"" << c.singular << '"';
+}
 
 class SingularizeTest : public ::testing::TestWithParam<SingularCase> {};
 
@@ -73,6 +82,10 @@ struct PluralCase {
   const char* singular;
   const char* plural;
 };
+
+void PrintTo(const PluralCase& c, std::ostream* os) {
+  *os << '"' << c.singular << "\" -> \"" << c.plural << '"';
+}
 
 class PluralizeTest : public ::testing::TestWithParam<PluralCase> {};
 
