@@ -25,23 +25,6 @@ double BackoffMs(const RetryPolicy& policy, int attempt, culinary::Rng& rng) {
   return std::max(0.0, base * factor);
 }
 
-double DecorrelatedBackoffMs(const RetryPolicy& policy, double prev_ms,
-                             culinary::Rng& rng) {
-  double lo = std::max(0.0, policy.base_backoff_ms);
-  double hi = std::max(lo, prev_ms * 3.0);
-  double drawn = rng.NextDouble(lo, hi);
-  return std::min(drawn, policy.max_backoff_ms);
-}
-
-double NextBackoffMs(const RetryPolicy& policy, int attempt, culinary::Rng& rng,
-                     double& prev_ms) {
-  if (policy.jitter_mode == JitterMode::kDecorrelated) {
-    prev_ms = DecorrelatedBackoffMs(policy, prev_ms, rng);
-    return prev_ms;
-  }
-  return BackoffMs(policy, attempt, rng);
-}
-
 void SleepForMs(double ms) {
   if (ms <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));

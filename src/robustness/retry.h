@@ -13,39 +13,21 @@
 
 namespace culinary::robustness {
 
-/// How the backoff before each retry is randomized.
-enum class JitterMode {
-  /// `base * 2^(k-1)` clamped, scaled by a uniform factor in
-  /// `[1 - jitter_fraction, 1 + jitter_fraction]` (the historical default).
-  kUniform = 0,
-  /// AWS-style decorrelated jitter: `sleep_k = min(max_backoff_ms,
-  /// uniform(base_backoff_ms, 3 * sleep_{k-1}))` with `sleep_0 =
-  /// base_backoff_ms`. Each retry's window depends on the previous *drawn*
-  /// sleep rather than the attempt index, so a thundering herd of clients
-  /// retrying the same failed reload spreads out instead of re-synchronizing
-  /// on the shared exponential schedule. Still fully deterministic per
-  /// `seed`.
-  kDecorrelated = 1,
-};
-
 /// Budgeted exponential backoff with deterministic jitter for transient
 /// failures (`Status::IsTransient()`).
 ///
-/// In `kUniform` mode attempt k (1-based) sleeps `base_backoff_ms * 2^(k-1)`
-/// before retrying, clamped to `max_backoff_ms`, then scaled by a uniform
-/// jitter factor in `[1 - jitter_fraction, 1 + jitter_fraction]` drawn from a
-/// deterministic stream (`seed`), so two replicas retrying the same failing
-/// resource de-synchronize yet every run replays exactly. `kDecorrelated`
-/// replaces the fixed exponential ladder with the previous drawn sleep (see
-/// `JitterMode`).
+/// Attempt k (1-based) sleeps `base_backoff_ms * 2^(k-1)` before retrying,
+/// clamped to `max_backoff_ms`, then scaled by a uniform jitter factor in
+/// `[1 - jitter_fraction, 1 + jitter_fraction]` drawn from a deterministic
+/// stream (`seed`), so two replicas retrying the same failing resource
+/// de-synchronize yet every run replays exactly.
 struct RetryPolicy {
   /// Total tries, including the first (1 = no retry).
   int max_attempts = 1;
   double base_backoff_ms = 1.0;
   double max_backoff_ms = 100.0;
-  /// Fractional jitter half-width in [0, 1] (kUniform mode only).
+  /// Fractional jitter half-width in [0, 1].
   double jitter_fraction = 0.5;
-  JitterMode jitter_mode = JitterMode::kUniform;
   uint64_t seed = 0x7e747279ULL;  // "retry"
 
   /// Overall backoff budget in milliseconds (< 0 = unbounded). When the
@@ -92,19 +74,9 @@ using SleepFn = std::function<void(double ms)>;
 bool IsRetryable(const culinary::Status& status);
 
 namespace internal {
-/// The kUniform jittered backoff before retry number `attempt` (1-based =
-/// before the second try). Exposed for tests.
+/// The jittered backoff before retry number `attempt` (1-based = before the
+/// second try). Exposed for tests.
 double BackoffMs(const RetryPolicy& policy, int attempt, culinary::Rng& rng);
-/// One step of the decorrelated-jitter sequence: draws uniformly in
-/// `[base_backoff_ms, 3 * prev_ms]` and clamps to `max_backoff_ms`. Exposed
-/// for tests pinning the per-seed sequence.
-double DecorrelatedBackoffMs(const RetryPolicy& policy, double prev_ms,
-                             culinary::Rng& rng);
-/// Mode dispatcher used by the retry loops: computes the backoff before
-/// retry `attempt` and threads the previous drawn sleep through `prev_ms`
-/// (decorrelated mode reads and updates it; uniform mode ignores it).
-double NextBackoffMs(const RetryPolicy& policy, int attempt, culinary::Rng& rng,
-                     double& prev_ms);
 /// Sleeps the calling thread for `ms` milliseconds.
 void SleepForMs(double ms);
 /// Observability hook: records one retried attempt and its backoff. Out of
@@ -143,14 +115,13 @@ culinary::Status RetryStatus(const RetryPolicy& policy, Fn&& fn,
   culinary::Rng rng(policy.seed);
   int budget = policy.max_attempts < 1 ? 1 : policy.max_attempts;
   double slept_ms = 0.0;
-  double prev_ms = policy.base_backoff_ms;
   culinary::Status last;
   for (int attempt = 1; attempt <= budget; ++attempt) {
     if (stats != nullptr) stats->attempts = attempt;
     last = fn();
     if (last.ok() || !IsRetryable(last)) return last;
     if (attempt == budget) break;
-    double ms = internal::NextBackoffMs(policy, attempt, rng, prev_ms);
+    double ms = internal::BackoffMs(policy, attempt, rng);
     if (internal::RetryBudgetExhausted(policy, slept_ms, ms)) {
       internal::NoteRetryBudgetExhausted();
       return last.WithContext(internal::RetryBudgetContext(attempt));
@@ -176,13 +147,12 @@ auto RetryResult(const RetryPolicy& policy, Fn&& fn,
   culinary::Rng rng(policy.seed);
   int budget = policy.max_attempts < 1 ? 1 : policy.max_attempts;
   double slept_ms = 0.0;
-  double prev_ms = policy.base_backoff_ms;
   ResultT last = fn();
   if (stats != nullptr) stats->attempts = 1;
   for (int attempt = 2;
        attempt <= budget && !last.ok() && IsRetryable(last.status());
        ++attempt) {
-    double ms = internal::NextBackoffMs(policy, attempt - 1, rng, prev_ms);
+    double ms = internal::BackoffMs(policy, attempt - 1, rng);
     if (internal::RetryBudgetExhausted(policy, slept_ms, ms)) {
       internal::NoteRetryBudgetExhausted();
       return ResultT(last.status().WithContext(
