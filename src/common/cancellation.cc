@@ -5,11 +5,21 @@
 namespace culinary {
 
 Deadline Deadline::After(double ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(ms < 0.0 ? 0.0 : ms))
+          .count();
+  // A budget the clock cannot represent from now on (or NaN) would overflow
+  // the cast and the addition below. It can never expire, so it is no
+  // deadline at all.
+  const double headroom =
+      static_cast<double>((Clock::time_point::max() - now).count());
+  if (!(ticks < headroom)) return Deadline();
   Deadline d;
   d.has_deadline_ = true;
-  d.at_ = std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(ms < 0.0 ? 0.0 : ms));
+  d.at_ = now + Clock::duration(static_cast<Clock::rep>(ticks));
   return d;
 }
 

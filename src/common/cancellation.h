@@ -23,6 +23,7 @@ class Deadline {
   Deadline() = default;
 
   /// A deadline `ms` milliseconds from now (clamped to now for `ms < 0`).
+  /// A budget past the steady clock's range, or NaN, is no deadline.
   static Deadline After(double ms);
 
   /// Synonym for the default constructor, for call-site readability.

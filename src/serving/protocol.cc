@@ -1,9 +1,11 @@
 #include "serving/protocol.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -427,7 +429,16 @@ culinary::Status ApplyRequestFields(
     } else if (field.key == "ids" &&
                (value.kind == JsonValue::Kind::kNumbers ||
                 value.kind == JsonValue::Kind::kStrings)) {
+      using IdLimits = std::numeric_limits<flavor::IngredientId>;
       for (const double d : value.numbers) {
+        // Casting a fraction would silently truncate it, and casting a
+        // value outside the id type is undefined.
+        if (!(d >= IdLimits::min() && d <= IdLimits::max()) ||
+            d != std::trunc(d)) {
+          return culinary::Status::InvalidArgument(
+              "ids must be integers in [" + std::to_string(IdLimits::min()) +
+              ", " + std::to_string(IdLimits::max()) + "]");
+        }
         wire->request.ingredient_ids.push_back(
             static_cast<flavor::IngredientId>(d));
       }
@@ -444,7 +455,13 @@ culinary::Status ApplyRequestFields(
       if (value.num < 0) {
         return culinary::Status::InvalidArgument("k must be >= 0");
       }
-      wire->request.k = static_cast<size_t>(value.num);
+      // Saturate instead of casting a value past size_t (undefined): any k
+      // at or past the candidate count already means "every candidate".
+      constexpr double kMaxK =
+          static_cast<double>(std::numeric_limits<size_t>::max());
+      wire->request.k = value.num >= kMaxK
+                            ? std::numeric_limits<size_t>::max()
+                            : static_cast<size_t>(value.num);
     } else if (field.key == "deadline_ms" &&
                value.kind == JsonValue::Kind::kNumber) {
       wire->request.deadline_ms = value.num;

@@ -1,6 +1,7 @@
 #include "common/cancellation.h"
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,21 @@ TEST(DeadlineTest, GenerousBudgetIsNotExpired) {
   EXPECT_TRUE(d.has_deadline());
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_ms(), 0.0);
+}
+
+TEST(DeadlineTest, BudgetPastTheClockRangeIsNoDeadline) {
+  // The steady clock spans about 292 years of nanoseconds. A budget it
+  // cannot represent used to overflow the conversion and expire at once.
+  for (const double ms : {1e16, 1e300, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    const Deadline d = Deadline::After(ms);
+    EXPECT_FALSE(d.has_deadline()) << ms;
+    EXPECT_FALSE(d.expired()) << ms;
+  }
+  // A far budget the clock can hold is still a real deadline.
+  const Deadline decade = Deadline::After(10.0 * 365 * 24 * 3600 * 1000);
+  EXPECT_TRUE(decade.has_deadline());
+  EXPECT_FALSE(decade.expired());
 }
 
 TEST(CancellationTest, DefaultTokenNeverCancels) {

@@ -170,6 +170,68 @@ TEST(ProtocolTest, SerializesResponsesAndErrors) {
   EXPECT_NE(error.find("broken line"), std::string::npos);
 }
 
+// --- wire numbers -----------------------------------------------------------
+// Client doubles never reach an undefined cast: each line has one defined
+// answer.
+
+/// `{"op":...,"ingredients":[two known names]` followed by `tail`.
+std::string TwoIngredientLine(const std::string& op, const std::string& tail) {
+  const ServingSnapshot& snapshot = *SmallSnapshot();
+  return R"({"op":")" + op + R"(","ingredients":[")" +
+         IngredientName(snapshot, 0) + R"(",")" + IngredientName(snapshot, 1) +
+         R"("])" + tail + "}";
+}
+
+TEST(WireNumbersTest, IdsOutsideTheIdTypeOrFractionalAreInvalidArgument) {
+  for (const char* line : {R"({"op":"score","ids":[4294967299,3.7]})",
+                           R"({"op":"score","ids":[3.7]})",
+                           R"({"op":"score","ids":[-2147483649]})",
+                           R"({"op":"score","ids":[1e300]})"}) {
+    EXPECT_TRUE(ParseRequestLine(line).status().IsInvalidArgument()) << line;
+  }
+  auto parsed =
+      ParseRequestLine(R"({"op":"score","ids":[3,2147483647,-2147483648]})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->request.ingredient_ids,
+            (std::vector<IngredientId>{3, 2147483647, -2147483648}));
+}
+
+TEST(WireNumbersTest, KAtOrPastTheCandidateCountReturnsEveryCandidate) {
+  auto snapshot = SmallSnapshot();
+  QueryEngine engine(snapshot);
+  auto answer = [&](const std::string& k) {
+    auto parsed =
+        ParseRequestLine(TwoIngredientLine("suggest", R"(,"k":)" + k));
+    EXPECT_TRUE(parsed.ok()) << k << ": " << parsed.status().ToString();
+    return engine.Execute(parsed->request);
+  };
+  // Every world ingredient outside the two-ingredient set is a candidate.
+  const size_t candidates = snapshot->world_cache().num_ingredients() - 2;
+  const Response every = answer(std::to_string(candidates));
+  ASSERT_TRUE(every.status.ok()) << every.status.ToString();
+  EXPECT_EQ(std::get<std::vector<Suggestion>>(every.payload).size(),
+            candidates);
+  for (const char* k : {"1e15", "1e20", "1e300", "1e999"}) {
+    EXPECT_EQ(SerializeResponse("s", answer(k)),
+              SerializeResponse("s", every))
+        << k;
+  }
+  engine.Stop();
+}
+
+TEST(WireNumbersTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  QueryEngine engine(SmallSnapshot());
+  auto without = ParseRequestLine(TwoIngredientLine("score", ""));
+  auto huge = ParseRequestLine(
+      TwoIngredientLine("score", R"(,"deadline_ms":1e300)"));
+  ASSERT_TRUE(without.ok() && huge.ok());
+  const Response r = engine.Execute(huge->request);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(SerializeResponse("d", r),
+            SerializeResponse("d", engine.Execute(without->request)));
+  engine.Stop();
+}
+
 // --- snapshot validation ----------------------------------------------------
 
 TEST(ServingSnapshotTest, RejectsCacheNotMatchingWorldCuisine) {
