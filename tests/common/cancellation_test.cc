@@ -38,8 +38,8 @@ TEST(DeadlineTest, GenerousBudgetIsNotExpired) {
 }
 
 TEST(DeadlineTest, BudgetPastTheClockRangeIsNoDeadline) {
-  // The steady clock spans about 292 years of nanoseconds. A budget it
-  // cannot represent used to overflow the conversion and expire at once.
+  // The steady clock spans about 292 years of nanoseconds. A budget past
+  // that cannot expire, so it must not overflow into an expired deadline.
   for (const double ms : {1e16, 1e300, std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN()}) {
     const Deadline d = Deadline::After(ms);

@@ -58,7 +58,7 @@ class TriangleInequalityTest
 TEST_P(TriangleInequalityTest, HoldsViaPivot) {
   const std::string& a = std::get<0>(GetParam());
   const std::string& b = std::get<1>(GetParam());
-  const std::string pivot = "tomato";
+  const char* pivot = "tomato";
   EXPECT_LE(LevenshteinDistance(a, b),
             LevenshteinDistance(a, pivot) + LevenshteinDistance(pivot, b));
 }
