@@ -141,78 +141,19 @@ uint64_t QueryEngine::generation() const {
 }
 
 Response QueryEngine::Execute(const Request& request) const {
-  const auto start = std::chrono::steady_clock::now();
-  Response response;
-  response.endpoint = request.endpoint;
-
-  // Chaos hook: a DelayMs plan here makes this worker look stalled to the
-  // watchdog; an error plan fails the request after the pin below would
-  // have succeeded.
-  culinary::Status injected =
-      robustness::FaultInjector::Global().Check(robustness::kFaultServingExecute);
-
-  // Pin one published world for the whole evaluation: a concurrent Reload
-  // swaps the atomic underneath us, but this shared_ptr keeps our snapshot
-  // alive and every read below consistent.
-  const std::shared_ptr<const PublishedWorld> world =
-      published_.load(std::memory_order_acquire);
-  if (world == nullptr || world->snapshot == nullptr) {
-    response.status =
-        culinary::Status::FailedPrecondition("no snapshot published");
-    return response;
-  }
-  response.generation = world->generation;
-
-  if (!injected.ok()) {
-    response.status = injected;
-  } else {
-    const uint64_t generation = response.generation;
-    response = EvaluateQuery(*world->snapshot, request, MakeContext(request));
-    response.generation = generation;
-  }
-
-  const uint64_t us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    ++executed_;
-    ++batches_;
-    // Feed the admission estimator. One mutex hop per request is in the
-    // noise next to query evaluation, and it keeps stats()/the estimate
-    // consistent without an atomics dance.
-    if (ewma_service_us_ <= 0.0) {
-      ewma_service_us_ = static_cast<double>(us);
-    } else {
-      ewma_service_us_ += kServiceEwmaAlpha *
-                          (static_cast<double>(us) - ewma_service_us_);
-    }
-    // A direct call is a unit of work of size 1; pull the batch estimate
-    // back toward it so the admission divisor tracks what workers actually
-    // retire per unit, not a historical best case.
-    ewma_batch_size_ += kServiceEwmaAlpha * (1.0 - ewma_batch_size_);
-  }
-  RecordLatencyUs(request.endpoint, us);
-  CULINARY_OBS_OBSERVE_U64("serving.batch_size", 1);
-  CULINARY_OBS_COUNT("serving.requests", 1);
-  if (!response.status.ok()) CULINARY_OBS_COUNT("serving.errors", 1);
-  if (options_.slo != nullptr) {
-    const int64_t t_s = SteadyNowMs() / 1000;
-    options_.slo->Record(EndpointName(request.endpoint),
-                         static_cast<double>(us), response.status.ok(), t_s);
-  }
-  return response;
+  return std::move(ExecuteBatch({&request, 1}).front());
 }
 
 std::vector<Response> QueryEngine::ExecuteBatch(
-    const std::vector<Request>& requests) const {
+    std::span<const Request> requests) const {
   std::vector<Response> responses;
   if (requests.empty()) return responses;
   const auto start = std::chrono::steady_clock::now();
 
-  // One chaos check and one RCU pin for the whole batch — the amortization
-  // this path exists for. Every response reports the same generation.
+  // One chaos check and one RCU pin for the whole batch. The pinned
+  // shared_ptr keeps this snapshot alive across a concurrent Reload, so every
+  // response reports the same generation. A DelayMs fault plan here makes a
+  // worker look stalled to the watchdog.
   culinary::Status injected =
       robustness::FaultInjector::Global().Check(robustness::kFaultServingExecute);
   const std::shared_ptr<const PublishedWorld> world =
@@ -250,6 +191,9 @@ std::vector<Response> QueryEngine::ExecuteBatch(
     executed_ += requests.size();
     ++batches_;
     if (requests.size() > 1) coalesced_ += requests.size() - 1;
+    // Feed the admission estimator. A unit of one pulls the batch estimate
+    // back toward 1, so the admission divisor tracks what workers actually
+    // retire per unit, not a historical best case.
     if (ewma_service_us_ <= 0.0) {
       ewma_service_us_ = static_cast<double>(us);
     } else {
@@ -318,8 +262,7 @@ std::future<Response> QueryEngine::Submit(Request request) {
       // by the observed mean batch size — without it, shedding over-fires
       // the moment coalescing kicks in.
       const double deadline_ms = item.request.deadline_ms;
-      if (options_.deadline_aware_admission && deadline_ms >= 0.0 &&
-          ewma_service_us_ > 0.0) {
+      if (deadline_ms >= 0.0 && ewma_service_us_ > 0.0) {
         const double batch_divisor =
             ewma_batch_size_ < 1.0 ? 1.0 : ewma_batch_size_;
         const double est_wait_us =
@@ -393,18 +336,14 @@ void QueryEngine::WorkerLoop(size_t worker_index) {
       ++busy_workers_;
     }
     beat.busy_since_ms.store(SteadyNowMs(), std::memory_order_release);
-    if (unit.size() == 1) {
-      unit.front().promise.set_value(Execute(unit.front().request));
-    } else {
-      std::vector<Request> requests;
-      requests.reserve(unit.size());
-      for (PendingRequest& pending : unit) {
-        requests.push_back(std::move(pending.request));
-      }
-      std::vector<Response> responses = ExecuteBatch(requests);
-      for (size_t i = 0; i < unit.size(); ++i) {
-        unit[i].promise.set_value(std::move(responses[i]));
-      }
+    std::vector<Request> requests;
+    requests.reserve(unit.size());
+    for (PendingRequest& pending : unit) {
+      requests.push_back(std::move(pending.request));
+    }
+    std::vector<Response> responses = ExecuteBatch(requests);
+    for (size_t i = 0; i < unit.size(); ++i) {
+      unit[i].promise.set_value(std::move(responses[i]));
     }
     beat.busy_since_ms.store(-1, std::memory_order_release);
     {

@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -45,16 +46,9 @@ struct QueryEngineOptions {
   /// learn the real coalescing factor from observed batches.
   double initial_batch_size_estimate = 1.0;
 
-  /// Deadline-aware admission: a deadlined request whose estimated queue
-  /// wait (from an EWMA of observed per-unit service times, divided by the
-  /// observed mean batch size — a coalescing worker retires several queue
-  /// slots per unit of work) already exceeds its deadline is shed at the
-  /// door with `kUnavailable` instead of occupying a queue slot only to time
-  /// out inside evaluation. Requests without a deadline are never shed by
-  /// the estimate.
-  bool deadline_aware_admission = true;
-  /// Seed for the service-time EWMA in microseconds; 0 = learn from the
-  /// first observed request (no estimate-based shedding until then).
+  /// Seed for the service-time EWMA behind deadline-aware admission (see
+  /// `Submit`), in microseconds; 0 = learn from the first observed unit of
+  /// work (no estimate-based shedding until then).
   double initial_service_estimate_us = 0.0;
 
   /// Watchdog thread: flags a worker as stalled when one request has kept
@@ -64,9 +58,9 @@ struct QueryEngineOptions {
   double stall_threshold_ms = 1000.0;
   double watchdog_interval_ms = 100.0;
 
-  /// Optional SLO monitor: every `Execute` records (endpoint, latency,
-  /// ok) into it, timestamped on a steady clock. Not owned; must outlive
-  /// the engine.
+  /// Optional SLO monitor: every evaluated request records (endpoint,
+  /// latency, ok) into it, timestamped on a steady clock. Not owned; must
+  /// outlive the engine.
   obs::SloMonitor* slo = nullptr;
 };
 
@@ -127,26 +121,31 @@ class QueryEngine {
   std::shared_ptr<const ServingSnapshot> snapshot() const;
   uint64_t generation() const;
 
-  /// Evaluates `request` synchronously on the calling thread against the
-  /// currently published snapshot, honoring the request's deadline and
-  /// cancellation token inside the evaluation. Always records per-endpoint
-  /// latency + request counters. Thread-safe; usable alongside `Submit`.
+  /// Evaluates `request` synchronously on the calling thread: `ExecuteBatch`
+  /// over a batch of one, without copying the request. Thread-safe; usable
+  /// alongside `Submit`.
   Response Execute(const Request& request) const;
 
-  /// Evaluates a whole batch against ONE pinned snapshot: the RCU pointer is
-  /// loaded once, every response carries the same generation, and suggest
-  /// requests go through the structure-of-arrays sweep in
-  /// `EvaluateBatch` (bit-identical to per-request `Execute` calls, see
-  /// queries.h). Used by coalescing workers and callable directly for bulk
-  /// scoring. Per-request latency is recorded as the batch wall time — the
-  /// latency a coalesced caller actually observed.
-  std::vector<Response> ExecuteBatch(const std::vector<Request>& requests) const;
+  /// Evaluates a batch synchronously on the calling thread against ONE
+  /// pinned snapshot: the RCU pointer is loaded once, every response carries
+  /// the same generation, and `EvaluateBatch` answers every request under
+  /// its own deadline and cancellation token (bit-identical to evaluating
+  /// each alone, see queries.h). The engine's only evaluation path: workers
+  /// run every unit of work through it, coalesced or not. Records the
+  /// per-endpoint latency, request counters and admission estimates for the
+  /// unit; each request's latency is the batch wall time, the latency a
+  /// coalesced caller actually observed.
+  std::vector<Response> ExecuteBatch(std::span<const Request> requests) const;
 
-  /// Queued submission through the bounded admission queue. When the queue
-  /// is full, the engine is draining or stopped, or a deadlined request's
-  /// estimated wait already exceeds its deadline (see
-  /// `deadline_aware_admission`), the returned future is immediately ready
-  /// with `kUnavailable` (explicit shed; retryable).
+  /// Queued submission through the bounded admission queue. The returned
+  /// future is immediately ready with `kUnavailable` (explicit shed;
+  /// retryable) when the queue is full, the engine is draining or stopped,
+  /// or the request's deadline is already shorter than its estimated queue
+  /// wait. That estimate (deadline-aware admission) is the EWMA of observed
+  /// per-unit service times, scaled by the work ahead of the request and
+  /// divided by the observed mean batch size, since a coalescing worker
+  /// retires several queue slots per unit of work. Requests without a
+  /// deadline are never shed by the estimate.
   std::future<Response> Submit(Request request);
 
   /// Stops admission, drains queued requests, joins workers. Idempotent;
@@ -220,7 +219,7 @@ class QueryEngine {
   size_t num_workers_ = 1;
 
   /// Guards the queue, the busy-worker count, the service-time EWMA and the
-  /// admission counters; `Execute` is const yet updates the EWMA and
+  /// admission counters; `ExecuteBatch` is const yet updates the EWMA and
   /// `executed_`, hence mutable.
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -237,7 +236,7 @@ class QueryEngine {
   mutable uint64_t batches_ = 0;
   mutable uint64_t coalesced_ = 0;
   mutable size_t busy_workers_ = 0;
-  /// Service time per *unit of work* (one Execute or one whole batch).
+  /// Service time per *unit of work* (one `ExecuteBatch` call).
   mutable double ewma_service_us_ = 0.0;
   /// Observed mean batch size; the admission estimate divides by it so a
   /// coalescing engine does not over-shed (each unit retires ~this many

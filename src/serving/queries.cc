@@ -1,6 +1,8 @@
 #include "serving/queries.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -54,11 +56,20 @@ culinary::Result<ScoreResult> ScoreResolved(
   return result;
 }
 
+/// Largest request set the suggest sweep accepts. Its gain accumulators are
+/// uint32 and the matrix entries it adds are uint16, so a set of at most
+/// this many members cannot overflow an accumulator. Sets are deduplicated
+/// dense indices, so only a world of more than 2^16 ingredients can exceed
+/// it.
+constexpr size_t kMaxSuggestSetSize = size_t{1} << 16;
+static_assert(kMaxSuggestSetSize * std::numeric_limits<uint16_t>::max() <=
+                  std::numeric_limits<uint32_t>::max(),
+              "a full request set must not overflow a uint32 accumulator");
+
 /// Resolved, canonicalized request set mapped into the cache's dense index
-/// space — the shared preamble of the single and batched suggest paths, so
-/// both reject the same inputs with the same statuses. Ingredients the
-/// corpus never used contribute no pairing information, mirroring how
-/// scoring excludes them from the normalization.
+/// space: the preamble of every suggest, whether it arrives alone or in a
+/// batch. Ingredients the corpus never used contribute no pairing
+/// information, mirroring how scoring excludes them from the normalization.
 culinary::Result<std::vector<int>> SuggestSetFor(
     const analysis::PairingCache& cache, std::vector<flavor::IngredientId> ids,
     const QueryContext& context) {
@@ -78,21 +89,26 @@ culinary::Result<std::vector<int>> SuggestSetFor(
     return culinary::Status::InvalidArgument(
         "no request ingredient appears in the serving corpus");
   }
+  if (set_dense.size() > kMaxSuggestSetSize) {
+    return culinary::Status::InvalidArgument(
+        "request set has " + std::to_string(set_dense.size()) +
+        " corpus ingredients; suggest accepts at most " +
+        std::to_string(kMaxSuggestSetSize));
+  }
   return set_dense;
 }
 
 /// Deterministic ranking under ties: descending gain, then ascending
-/// ingredient id. A strict total order over unique ids, so the top-K is a
-/// pure function of the snapshot — bit-identical across any number of
-/// serving threads, and identical whether selected by nth_element (single
-/// path) or a bounded heap (batched path).
+/// ingredient id. A strict total order over unique ids, so the top-K the
+/// sweep's bounded heap keeps is a pure function of the snapshot —
+/// bit-identical across any number of serving threads and any batching.
 bool BetterSuggestion(const std::pair<double, flavor::IngredientId>& a,
                       const std::pair<double, flavor::IngredientId>& b) {
   if (a.first != b.first) return a.first > b.first;
   return a.second < b.second;
 }
 
-/// Final (gain, id) → Suggestion materialization, shared by both paths.
+/// Final (gain, id) → Suggestion materialization.
 std::vector<Suggestion> MakeSuggestions(
     const flavor::FlavorRegistry& registry,
     const std::vector<std::pair<double, flavor::IngredientId>>& scored) {
@@ -106,43 +122,6 @@ std::vector<Suggestion> MakeSuggestions(
     suggestions.push_back(std::move(s));
   }
   return suggestions;
-}
-
-culinary::Result<std::vector<Suggestion>> SuggestResolved(
-    const ServingSnapshot& snapshot, std::vector<flavor::IngredientId> ids,
-    size_t k, const QueryContext& context) {
-  const analysis::PairingCache& cache = snapshot.world_cache();
-  auto set = SuggestSetFor(cache, std::move(ids), context);
-  if (!set.ok()) return set.status();
-  const std::vector<int>& set_dense = set.value();
-  const size_t n = cache.num_ingredients();
-  std::vector<char> in_set(n, 0);
-  for (int d : set_dense) in_set[static_cast<size_t>(d)] = 1;
-
-  const std::vector<uint16_t>& full = cache.shared_matrix();
-  const double m = static_cast<double>(set_dense.size());
-  std::vector<std::pair<double, flavor::IngredientId>> scored;
-  scored.reserve(n);
-  const bool stoppable =
-      context.cancel.cancellable() || context.deadline.has_deadline();
-  for (size_t c = 0; c < n; ++c) {
-    if (stoppable && c % kStopCheckStride == 0) {
-      CULINARY_RETURN_IF_ERROR(CheckStop(context.cancel, context.deadline));
-    }
-    if (in_set[c]) continue;
-    const uint16_t* row = full.data() + c * n;
-    uint64_t total = 0;
-    for (int s : set_dense) total += row[s];
-    scored.emplace_back(static_cast<double>(total) / m, cache.IdAt(c));
-  }
-
-  if (scored.size() > k) {
-    std::nth_element(scored.begin(), scored.begin() + static_cast<long>(k),
-                     scored.end(), BetterSuggestion);
-    scored.resize(k);
-  }
-  std::sort(scored.begin(), scored.end(), BetterSuggestion);
-  return MakeSuggestions(snapshot.registry(), scored);
 }
 
 /// Splits names into (resolved ids, unresolved names).
@@ -196,26 +175,6 @@ culinary::Result<ScoreResult> ScoreRecipeIds(
   ResolveIds(snapshot.registry(), ids, &known, &unresolved);
   return ScoreResolved(snapshot, std::move(known), std::move(unresolved),
                        context);
-}
-
-culinary::Result<std::vector<Suggestion>> SuggestPairings(
-    const ServingSnapshot& snapshot,
-    const std::vector<std::string>& ingredient_names, size_t k,
-    const QueryContext& context) {
-  std::vector<flavor::IngredientId> ids;
-  std::vector<std::string> unresolved;
-  ResolveNames(snapshot.registry(), ingredient_names, &ids, &unresolved);
-  return SuggestResolved(snapshot, std::move(ids), k, context);
-}
-
-culinary::Result<std::vector<Suggestion>> SuggestPairingsIds(
-    const ServingSnapshot& snapshot,
-    const std::vector<flavor::IngredientId>& ids, size_t k,
-    const QueryContext& context) {
-  std::vector<flavor::IngredientId> known;
-  std::vector<std::string> unresolved;
-  ResolveIds(snapshot.registry(), ids, &known, &unresolved);
-  return SuggestResolved(snapshot, std::move(known), k, context);
 }
 
 culinary::Result<FingerprintResult> Fingerprint(const ServingSnapshot& snapshot,
@@ -274,101 +233,13 @@ culinary::Result<SimilarResult> SimilarCuisines(const ServingSnapshot& snapshot,
   return result;
 }
 
-// --- dispatch: single and batched -------------------------------------------
-
-const char* EndpointName(Endpoint endpoint) {
-  switch (endpoint) {
-    case Endpoint::kPing:
-      return "ping";
-    case Endpoint::kScore:
-      return "score";
-    case Endpoint::kSuggest:
-      return "suggest";
-    case Endpoint::kFingerprint:
-      return "fingerprint";
-    case Endpoint::kSimilar:
-      return "similar";
-  }
-  return "unknown";
-}
-
-QueryContext MakeContext(const Request& request) {
-  QueryContext context;
-  context.cancel = request.cancel;
-  if (request.deadline_ms >= 0) {
-    context.deadline = culinary::Deadline::After(request.deadline_ms);
-  }
-  return context;
-}
-
-Response EvaluateQuery(const ServingSnapshot& snapshot, const Request& request,
-                       const QueryContext& context) {
-  Response response;
-  response.endpoint = request.endpoint;
-  const bool by_name = !request.ingredient_names.empty();
-  switch (request.endpoint) {
-    case Endpoint::kPing:
-      response.status = culinary::Status::OK();
-      break;
-    case Endpoint::kScore: {
-      auto result =
-          by_name ? ScoreRecipe(snapshot, request.ingredient_names, context)
-                  : ScoreRecipeIds(snapshot, request.ingredient_ids, context);
-      if (result.ok()) {
-        response.payload = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
-    case Endpoint::kSuggest: {
-      auto result =
-          by_name
-              ? SuggestPairings(snapshot, request.ingredient_names, request.k,
-                                context)
-              : SuggestPairingsIds(snapshot, request.ingredient_ids, request.k,
-                                   context);
-      if (result.ok()) {
-        response.payload = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
-    case Endpoint::kFingerprint: {
-      auto result = Fingerprint(snapshot, request.region, request.k, context);
-      if (result.ok()) {
-        response.payload = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
-    case Endpoint::kSimilar: {
-      auto result = SimilarCuisines(snapshot, request.region, request.k,
-                                    context);
-      if (result.ok()) {
-        response.payload = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
-  }
-  return response;
-}
+// --- suggest: one sweep for one request or many -----------------------------
 
 namespace {
 
-/// Batch accumulators are uint32 and matrix entries uint16, so a request
-/// set of up to 2^15 members provably cannot overflow (2^15 · (2^16−1) <
-/// 2^31). A larger set — only reachable through pathological wire input —
-/// falls back to the single-request sweep, which accumulates in uint64.
-constexpr size_t kMaxSoaSetSize = size_t{1} << 15;
-
-/// One suggest request gathered for the SoA sweep.
+/// One suggest request gathered for the sweep.
 struct SuggestJob {
-  size_t index = 0;          ///< position in the batch (responses slot)
+  size_t index = 0;          ///< slot in the responses the sweep writes
   std::vector<int> set;      ///< dense request-set indices
   flavor::CompoundBitset members;  ///< membership mask over dense space
   size_t k = 0;
@@ -378,21 +249,56 @@ struct SuggestJob {
   std::vector<uint32_t> acc;  ///< per-candidate gain numerator
 };
 
+/// Resolves a suggest request into a sweep job for response slot `index`
+/// and appends it to `jobs`, or writes the status that rejects the request
+/// into `response`.
+void GatherSuggestJob(const ServingSnapshot& snapshot, const Request& request,
+                      const QueryContext& context, size_t index,
+                      std::vector<SuggestJob>& jobs, Response& response) {
+  const analysis::PairingCache& cache = snapshot.world_cache();
+  const size_t n = cache.num_ingredients();
+  std::vector<flavor::IngredientId> ids;
+  std::vector<std::string> unresolved;
+  if (!request.ingredient_names.empty()) {
+    ResolveNames(snapshot.registry(), request.ingredient_names, &ids,
+                 &unresolved);
+  } else {
+    ResolveIds(snapshot.registry(), request.ingredient_ids, &ids,
+               &unresolved);
+  }
+  auto set = SuggestSetFor(cache, std::move(ids), context);
+  if (!set.ok()) {
+    response.status = set.status();
+    return;
+  }
+  SuggestJob job;
+  job.index = index;
+  job.set = std::move(set).value();
+  job.members = flavor::CompoundBitset(n);
+  for (int d : job.set) job.members.Set(static_cast<flavor::MoleculeId>(d));
+  job.k = request.k;
+  job.context = context;
+  job.stoppable =
+      context.cancel.cancellable() || context.deadline.has_deadline();
+  job.acc.assign(n, 0);
+  jobs.push_back(std::move(job));
+}
+
 /// The structure-of-arrays suggest kernel: one pass over the PairingCache
-/// for every gathered job.
+/// for every gathered job, writing each answer to `responses[job.index]`.
 ///
 /// Phase 1 exploits symmetry of the shared-compound matrix — the gain
 /// numerator of candidate c for set S is Σ_{s∈S} M[c][s] = Σ_{s∈S} M[s][c] —
-/// to turn the single path's strided column gathers into sequential row
-/// streams: each *distinct* set-member row across the whole batch is walked
-/// once (jobs sorted per row, so a row shared by several requests stays
+/// to read it as sequential row streams instead of strided column gathers:
+/// each *distinct* set-member row across the whole batch is walked once
+/// (jobs sorted per row, so a row shared by several requests stays
 /// cache-hot), added into each requesting job's accumulator. Integer
-/// addition is order-insensitive, so the numerators match the single path
-/// exactly. Phase 2 ranks candidates per job through a bounded top-K heap
-/// under the same comparator the single path sorts with.
+/// addition is order-insensitive, so the numerators, and the gains divided
+/// from them, do not depend on how requests were batched. Phase 2 ranks
+/// candidates per job through a bounded top-K heap under `BetterSuggestion`.
 void SuggestSweep(const ServingSnapshot& snapshot,
                   std::vector<SuggestJob>& jobs,
-                  std::vector<Response>& responses) {
+                  std::span<Response> responses) {
   const analysis::PairingCache& cache = snapshot.world_cache();
   const size_t n = cache.num_ingredients();
   const std::vector<uint16_t>& full = cache.shared_matrix();
@@ -447,8 +353,7 @@ void SuggestSweep(const ServingSnapshot& snapshot,
           static_cast<double>(job.acc[c]) / m, cache.IdAt(c));
       // The heap is ordered by BetterSuggestion, so its front is the worst
       // element kept; a candidate beating it displaces it. Over a strict
-      // total order this keeps exactly the k best — the same k elements
-      // nth_element selects in the single path.
+      // total order this keeps exactly the k best.
       if (kept.size() < k) {
         kept.push_back(candidate);
         std::push_heap(kept.begin(), kept.end(), BetterSuggestion);
@@ -466,13 +371,86 @@ void SuggestSweep(const ServingSnapshot& snapshot,
 
 }  // namespace
 
-std::vector<Response> EvaluateBatch(const ServingSnapshot& snapshot,
-                                    const std::vector<Request>& requests) {
-  std::vector<Response> responses(requests.size());
-  const analysis::PairingCache& cache = snapshot.world_cache();
-  const size_t n = cache.num_ingredients();
+// --- dispatch -----------------------------------------------------------------
 
-  // Gather suggest requests into SoA jobs; everything else is a cheap point
+const char* EndpointName(Endpoint endpoint) {
+  switch (endpoint) {
+    case Endpoint::kPing:
+      return "ping";
+    case Endpoint::kScore:
+      return "score";
+    case Endpoint::kSuggest:
+      return "suggest";
+    case Endpoint::kFingerprint:
+      return "fingerprint";
+    case Endpoint::kSimilar:
+      return "similar";
+  }
+  return "unknown";
+}
+
+QueryContext MakeContext(const Request& request) {
+  QueryContext context;
+  context.cancel = request.cancel;
+  if (request.deadline_ms >= 0) {
+    context.deadline = culinary::Deadline::After(request.deadline_ms);
+  }
+  return context;
+}
+
+Response EvaluateQuery(const ServingSnapshot& snapshot, const Request& request,
+                       const QueryContext& context) {
+  Response response;
+  response.endpoint = request.endpoint;
+  const bool by_name = !request.ingredient_names.empty();
+  switch (request.endpoint) {
+    case Endpoint::kPing:
+      response.status = culinary::Status::OK();
+      break;
+    case Endpoint::kScore: {
+      auto result =
+          by_name ? ScoreRecipe(snapshot, request.ingredient_names, context)
+                  : ScoreRecipeIds(snapshot, request.ingredient_ids, context);
+      if (result.ok()) {
+        response.payload = std::move(result).value();
+      } else {
+        response.status = result.status();
+      }
+      break;
+    }
+    case Endpoint::kSuggest: {
+      std::vector<SuggestJob> jobs;
+      GatherSuggestJob(snapshot, request, context, 0, jobs, response);
+      if (!jobs.empty()) SuggestSweep(snapshot, jobs, {&response, 1});
+      break;
+    }
+    case Endpoint::kFingerprint: {
+      auto result = Fingerprint(snapshot, request.region, request.k, context);
+      if (result.ok()) {
+        response.payload = std::move(result).value();
+      } else {
+        response.status = result.status();
+      }
+      break;
+    }
+    case Endpoint::kSimilar: {
+      auto result = SimilarCuisines(snapshot, request.region, request.k,
+                                    context);
+      if (result.ok()) {
+        response.payload = std::move(result).value();
+      } else {
+        response.status = result.status();
+      }
+      break;
+    }
+  }
+  return response;
+}
+
+std::vector<Response> EvaluateBatch(const ServingSnapshot& snapshot,
+                                    std::span<const Request> requests) {
+  std::vector<Response> responses(requests.size());
+  // Gather suggest requests into one sweep; everything else is a cheap point
   // read dispatched per element.
   std::vector<SuggestJob> jobs;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -483,35 +461,7 @@ std::vector<Response> EvaluateBatch(const ServingSnapshot& snapshot,
       continue;
     }
     responses[i].endpoint = Endpoint::kSuggest;
-    std::vector<flavor::IngredientId> ids;
-    std::vector<std::string> unresolved;
-    if (!request.ingredient_names.empty()) {
-      ResolveNames(snapshot.registry(), request.ingredient_names, &ids,
-                   &unresolved);
-    } else {
-      ResolveIds(snapshot.registry(), request.ingredient_ids, &ids,
-                 &unresolved);
-    }
-    auto set = SuggestSetFor(cache, std::move(ids), context);
-    if (!set.ok()) {
-      responses[i].status = set.status();
-      continue;
-    }
-    if (set.value().size() > kMaxSoaSetSize) {
-      responses[i] = EvaluateQuery(snapshot, request, context);
-      continue;
-    }
-    SuggestJob job;
-    job.index = i;
-    job.set = std::move(set).value();
-    job.members = flavor::CompoundBitset(n);
-    for (int d : job.set) job.members.Set(static_cast<flavor::MoleculeId>(d));
-    job.k = request.k;
-    job.context = context;
-    job.stoppable =
-        context.cancel.cancellable() || context.deadline.has_deadline();
-    job.acc.assign(n, 0);
-    jobs.push_back(std::move(job));
+    GatherSuggestJob(snapshot, request, context, i, jobs, responses[i]);
   }
   if (!jobs.empty()) SuggestSweep(snapshot, jobs, responses);
   return responses;

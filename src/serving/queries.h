@@ -2,6 +2,7 @@
 #define CULINARYLAB_SERVING_QUERIES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -106,21 +107,12 @@ struct Suggestion {
   double gain = 0.0;
 };
 
-/// Top-`k` pairing partners for an ingredient set: every world-cache
-/// ingredient not already in the set, ranked by descending `gain`.
-/// Deterministic under score ties — equal gains order by ascending
-/// ingredient id — so the top-K list is bit-identical no matter how many
-/// serving threads race over it (the same contract the sweeps guarantee).
-culinary::Result<std::vector<Suggestion>> SuggestPairings(
-    const ServingSnapshot& snapshot,
-    const std::vector<std::string>& ingredient_names, size_t k,
-    const QueryContext& context = {});
-
-/// Id-level variant of `SuggestPairings`.
-culinary::Result<std::vector<Suggestion>> SuggestPairingsIds(
-    const ServingSnapshot& snapshot,
-    const std::vector<flavor::IngredientId>& ids, size_t k,
-    const QueryContext& context = {});
+// A suggest answer is the top-`k` pairing partners of the request set:
+// every world-cache ingredient not already in the set, ranked by descending
+// `gain`. Equal gains order by ascending ingredient id, so the list is
+// bit-identical no matter how many serving threads race over it or how the
+// requests were batched. Suggest is served only through `EvaluateQuery` and
+// `EvaluateBatch`, which share one kernel.
 
 // --- fingerprint ------------------------------------------------------------
 
@@ -180,29 +172,30 @@ struct Response {
 /// deadline-aware admission estimate instead).
 QueryContext MakeContext(const Request& request);
 
-/// Evaluates one request against `snapshot`: the endpoint dispatch shared by
-/// `QueryEngine::Execute` and the batch path. Pure; `generation` is left 0.
+/// Evaluates one request against `snapshot` under `context`. Pure;
+/// `generation` is left 0. A suggest runs the `EvaluateBatch` sweep over a
+/// batch of one.
 Response EvaluateQuery(const ServingSnapshot& snapshot, const Request& request,
                        const QueryContext& context);
 
 /// Batched evaluation: answers every request against the one `snapshot`,
-/// in request order.
+/// in request order, each under its own `MakeContext`. This is the engine's
+/// only evaluation path; `QueryEngine::Execute` is a batch of one.
 ///
 /// Non-suggest endpoints dispatch through `EvaluateQuery` per element (they
-/// are cheap point reads). Suggest requests — the candidate sweeps — are
-/// instead gathered into a structure-of-arrays kernel that walks the
-/// PairingCache triangle once for the whole batch: per-request ingredient
-/// sets are resolved up front (dense indices + a `flavor::CompoundBitset`
-/// membership mask each), the distinct set-member rows of the shared-compound
-/// matrix are streamed sequentially into per-request gain accumulators
-/// (deduplicated across requests, so a row shared by B requests is read from
-/// memory once), and a final pass per request pushes candidates into a
-/// bounded top-K heap under the same (gain desc, id asc) comparator the
-/// single-request path sorts with. Gains are integer sums divided by the
-/// same set size, and the comparator is a strict total order over unique
-/// ids, so every response is bit-identical to its `EvaluateQuery` answer.
+/// are cheap point reads). Suggest requests are gathered into one
+/// structure-of-arrays sweep over the shared-compound matrix: per-request
+/// ingredient sets are resolved up front (dense indices + a
+/// `flavor::CompoundBitset` membership mask each), the distinct set-member
+/// rows are streamed sequentially into per-request uint32 gain accumulators
+/// (a row shared by B requests is read from memory once), and a final pass
+/// per request keeps a bounded top-K heap under the (gain desc, id asc)
+/// order. Gains are integer sums divided by the set size, so every response
+/// is bit-identical to its `EvaluateQuery` answer. A resolved set of more
+/// than 2^16 corpus ingredients, which only a world that large can produce,
+/// is kInvalidArgument: it could overflow an accumulator.
 std::vector<Response> EvaluateBatch(const ServingSnapshot& snapshot,
-                                    const std::vector<Request>& requests);
+                                    std::span<const Request> requests);
 
 }  // namespace culinary::serving
 

@@ -75,21 +75,6 @@ TEST(OverloadTest, DeadlineAwareShedWhenEstimatedWaitExceedsDeadline) {
   engine.Stop();
 }
 
-TEST(OverloadTest, DeadlineShedDisabledByOption) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.deadline_aware_admission = false;
-  options.initial_service_estimate_us = 100000.0;
-  QueryEngine engine(BuildSmall(), options);
-  // Same 1 ms deadline as above, but with the estimator off the request is
-  // admitted (and then deadline-checked inside evaluation as before).
-  Response r = engine.Submit(Ping(/*deadline_ms=*/1.0)).get();
-  EXPECT_TRUE(r.status.ok() || r.status.IsDeadlineExceeded())
-      << r.status.ToString();
-  EXPECT_EQ(engine.stats().deadline_shed, 0u);
-  engine.Stop();
-}
-
 TEST(OverloadTest, WatchdogFlagsStalledWorker) {
   QueryEngineOptions options;
   options.num_threads = 1;

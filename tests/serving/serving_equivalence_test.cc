@@ -1,8 +1,10 @@
 // Serving/batch equivalence property: every serving endpoint must be
 // bit-identical to running the analysis layer directly on the same world
-// (across ≥3 datagen seeds), and the suggest top-K must be deterministic
-// under score ties and across 1/4/16 serving threads.
+// (across ≥3 datagen seeds), suggest must match a brute-force ranking over
+// the pairing triangle, and the suggest top-K must be deterministic under
+// score ties and across 1/4/16 serving threads.
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -44,6 +46,37 @@ datagen::SyntheticWorld GenerateSmall(uint64_t seed) {
   return std::move(world).value();
 }
 
+/// Brute-force suggest reference, independent of the serving sweep: every
+/// cache ingredient outside the request set, ranked by its mean
+/// `PairingCache::Shared` count with the set members (gain descending, then
+/// id ascending) and cut to `k`. `Shared` reads the triangle, not the
+/// `shared_matrix()` mirror the sweep streams.
+std::vector<std::pair<double, IngredientId>> BruteForceSuggest(
+    const analysis::PairingCache& cache, const std::vector<IngredientId>& ids,
+    size_t k) {
+  std::vector<IngredientId> set;
+  for (IngredientId id : ids) {
+    if (cache.DenseIndex(id) >= 0) set.push_back(id);
+  }
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  std::vector<std::pair<double, IngredientId>> ranked;
+  for (size_t c = 0; c < cache.num_ingredients(); ++c) {
+    const IngredientId candidate = cache.IdAt(c);
+    if (std::binary_search(set.begin(), set.end(), candidate)) continue;
+    uint64_t total = 0;
+    for (IngredientId member : set) total += cache.Shared(candidate, member);
+    ranked.emplace_back(
+        static_cast<double>(total) / static_cast<double>(set.size()),
+        candidate);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  if (ranked.size() > k) ranked.resize(k);
+  return ranked;
+}
+
 TEST(ServingEquivalenceTest, EndpointsMatchBatchPathAcrossSeeds) {
   for (uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -62,7 +95,7 @@ TEST(ServingEquivalenceTest, EndpointsMatchBatchPathAcrossSeeds) {
     const std::vector<recipe::Cuisine> cuisines = batch.db().AllCuisines();
     const analysis::CuisineClassifier classifier(cuisines);
 
-    // --- score: N_s and classification over real recipes ------------------
+    // --- score and suggest over real recipes --------------------------------
     const std::vector<recipe::Recipe>& recipes = batch.db().recipes();
     ASSERT_FALSE(recipes.empty());
     for (size_t i = 0; i < recipes.size(); i += recipes.size() / 25 + 1) {
@@ -73,6 +106,22 @@ TEST(ServingEquivalenceTest, EndpointsMatchBatchPathAcrossSeeds) {
                 analysis::RecipePairingScore(cache, recipe.ingredients));
       EXPECT_EQ(served->classified, classifier.Classify(served->resolved));
       EXPECT_TRUE(served->unresolved.empty());
+
+      Request suggest;
+      suggest.endpoint = Endpoint::kSuggest;
+      suggest.ingredient_ids = recipe.ingredients;
+      suggest.k = 10;
+      const Response answer =
+          EvaluateQuery(snapshot, suggest, MakeContext(suggest));
+      ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+      const auto& suggestions =
+          std::get<std::vector<Suggestion>>(answer.payload);
+      const auto expected = BruteForceSuggest(cache, recipe.ingredients, 10);
+      ASSERT_EQ(suggestions.size(), expected.size());
+      for (size_t j = 0; j < expected.size(); ++j) {
+        EXPECT_EQ(suggestions[j].id, expected[j].second) << "rank " << j;
+        EXPECT_EQ(suggestions[j].gain, expected[j].first) << "rank " << j;
+      }
     }
 
     // --- fingerprint: per-cuisine statistics -------------------------------
@@ -141,12 +190,19 @@ TEST(ServingEquivalenceTest, SuggestBreaksTiesByAscendingId) {
   auto built = ServingSnapshot::Build(std::move(registry), std::move(database),
                                       std::nullopt, {});
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  auto suggestions = SuggestPairingsIds(**built, {base}, 5);
-  ASSERT_TRUE(suggestions.ok()) << suggestions.status().ToString();
-  ASSERT_EQ(suggestions->size(), 5u);
-  for (size_t i = 0; i < suggestions->size(); ++i) {
-    EXPECT_EQ((*suggestions)[i].id, candidates[i]);  // ascending id order
-    EXPECT_EQ((*suggestions)[i].gain, 2.0);          // all tied
+  Request request;
+  request.endpoint = Endpoint::kSuggest;
+  request.ingredient_ids = {base};
+  request.k = 5;
+  const Response response =
+      EvaluateQuery(**built, request, MakeContext(request));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const auto& suggestions =
+      std::get<std::vector<Suggestion>>(response.payload);
+  ASSERT_EQ(suggestions.size(), 5u);
+  for (size_t i = 0; i < suggestions.size(); ++i) {
+    EXPECT_EQ(suggestions[i].id, candidates[i]);  // ascending id order
+    EXPECT_EQ(suggestions[i].gain, 2.0);          // all tied
   }
 }
 
