@@ -430,14 +430,20 @@ culinary::Status ApplyRequestFields(
                (value.kind == JsonValue::Kind::kNumbers ||
                 value.kind == JsonValue::Kind::kStrings)) {
       using IdLimits = std::numeric_limits<flavor::IngredientId>;
+      const auto not_ids = [] {
+        return culinary::Status::InvalidArgument(
+            "ids must be integers in [" + std::to_string(IdLimits::min()) +
+            ", " + std::to_string(IdLimits::max()) + "]");
+      };
+      // String elements would otherwise be dropped silently (an empty array
+      // parses as strings and stays valid).
+      if (!value.strings.empty()) return not_ids();
       for (const double d : value.numbers) {
         // Casting a fraction would silently truncate it, and casting a
         // value outside the id type is undefined.
         if (!(d >= IdLimits::min() && d <= IdLimits::max()) ||
             d != std::trunc(d)) {
-          return culinary::Status::InvalidArgument(
-              "ids must be integers in [" + std::to_string(IdLimits::min()) +
-              ", " + std::to_string(IdLimits::max()) + "]");
+          return not_ids();
         }
         wire->request.ingredient_ids.push_back(
             static_cast<flavor::IngredientId>(d));
@@ -454,6 +460,10 @@ culinary::Status ApplyRequestFields(
     } else if (field.key == "k" && value.kind == JsonValue::Kind::kNumber) {
       if (value.num < 0) {
         return culinary::Status::InvalidArgument("k must be >= 0");
+      }
+      // Casting a fraction would silently truncate it.
+      if (value.num != std::trunc(value.num)) {
+        return culinary::Status::InvalidArgument("k must be an integer");
       }
       // Saturate instead of casting a value past size_t (undefined): any k
       // at or past the candidate count already means "every candidate".

@@ -63,7 +63,9 @@ struct WireRequest {
 inline constexpr size_t kMaxWireBatch = 256;
 
 /// Parses one LDJSON request line. kParseError for malformed JSON or a
-/// nested value; kInvalidArgument for an unknown op or region code.
+/// nested value; kInvalidArgument for an unknown op or region code, an
+/// `ids` element that is not an integer in the `IngredientId` range, or a
+/// negative or fractional `k`.
 culinary::Result<WireRequest> ParseRequestLine(std::string_view line);
 
 /// Serializes an engine response to one JSON line (no trailing newline).

@@ -196,6 +196,29 @@ TEST(WireNumbersTest, IdsOutsideTheIdTypeOrFractionalAreInvalidArgument) {
             (std::vector<IngredientId>{3, 2147483647, -2147483648}));
 }
 
+TEST(WireNumbersTest, StringIdsAreInvalidArgument) {
+  // A string array under "ids" used to be dropped, leaving no ids at all.
+  for (const char* line : {R"({"op":"suggest","ids":["3","4"]})",
+                           R"({"op":"score","ids":["3"]})"}) {
+    EXPECT_TRUE(ParseRequestLine(line).status().IsInvalidArgument()) << line;
+  }
+  auto empty = ParseRequestLine(R"({"op":"score","ids":[]})");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->request.ingredient_ids.empty());
+}
+
+TEST(WireNumbersTest, FractionalKIsInvalidArgument) {
+  // A fractional k used to be truncated: "k":2.5 answered 2 suggestions.
+  for (const char* k : {"2.5", "0.5", "1e-3"}) {
+    const std::string line =
+        TwoIngredientLine("suggest", std::string(R"(,"k":)") + k);
+    EXPECT_TRUE(ParseRequestLine(line).status().IsInvalidArgument()) << line;
+  }
+  auto whole = ParseRequestLine(TwoIngredientLine("suggest", R"(,"k":2.0)"));
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->request.k, 2u);
+}
+
 TEST(WireNumbersTest, KAtOrPastTheCandidateCountReturnsEveryCandidate) {
   auto snapshot = SmallSnapshot();
   QueryEngine engine(snapshot);
