@@ -93,12 +93,15 @@ culinary::Status QueryEngine::Reload(
     return culinary::Status::FailedPrecondition(
         "engine draining; reload rejected");
   }
-  const auto current = published_.load(std::memory_order_acquire);
-  const uint64_t next_generation =
-      (current == nullptr ? 0 : current->generation) + 1;
-  published_.store(std::make_shared<const PublishedWorld>(
-                       PublishedWorld{std::move(snapshot), next_generation}),
-                   std::memory_order_release);
+  std::shared_ptr<const PublishedWorld> world =
+      std::make_shared<const PublishedWorld>(
+          PublishedWorld{std::move(snapshot), generation() + 1});
+  {
+    std::lock_guard<std::mutex> publish(publish_mu_);
+    published_.swap(world);
+  }
+  // `world` now holds the retired generation, freed here outside the lock
+  // unless an in-flight query still pins it.
   // A clean publish is the recovery edge of the health machine: degraded
   // (or still-starting) engines return to serving. Draining/stopped were
   // rejected above, so this store cannot resurrect a shutdown.
@@ -130,13 +133,19 @@ void QueryEngine::BeginDrain() {
   CULINARY_OBS_COUNT("serving.drains", 1);
 }
 
+std::shared_ptr<const QueryEngine::PublishedWorld> QueryEngine::Published()
+    const {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  return published_;
+}
+
 std::shared_ptr<const ServingSnapshot> QueryEngine::snapshot() const {
-  const auto world = published_.load(std::memory_order_acquire);
+  const auto world = Published();
   return world == nullptr ? nullptr : world->snapshot;
 }
 
 uint64_t QueryEngine::generation() const {
-  const auto world = published_.load(std::memory_order_acquire);
+  const auto world = Published();
   return world == nullptr ? 0 : world->generation;
 }
 
@@ -156,8 +165,7 @@ std::vector<Response> QueryEngine::ExecuteBatch(
   // worker look stalled to the watchdog.
   culinary::Status injected =
       robustness::FaultInjector::Global().Check(robustness::kFaultServingExecute);
-  const std::shared_ptr<const PublishedWorld> world =
-      published_.load(std::memory_order_acquire);
+  const std::shared_ptr<const PublishedWorld> world = Published();
   if (world == nullptr || world->snapshot == nullptr) {
     responses.resize(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {

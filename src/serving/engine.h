@@ -67,14 +67,14 @@ struct QueryEngineOptions {
 /// Resident query engine: answers concurrent point queries against an
 /// immutable `ServingSnapshot`, swapped RCU-style on reload.
 ///
-/// Publication is one `std::atomic<std::shared_ptr<const PublishedWorld>>`
-/// swap, where `PublishedWorld` pairs the snapshot with its generation so a
-/// query observes a consistent (snapshot, generation) or the previous one —
-/// never a half-published state. A query pins the shared_ptr for its whole
-/// evaluation; a concurrent `Reload` retires the old world only when the
-/// last in-flight query drops its pin. No query ever blocks on — or
-/// observes — a partially ingested world: `ServingSnapshot::Build` runs
-/// entirely before `Reload` is called.
+/// Publication is one `std::shared_ptr<const PublishedWorld>` swap, where
+/// `PublishedWorld` pairs the snapshot with its generation so a query
+/// observes a consistent (snapshot, generation) or the previous one — never
+/// a half-published state. A query copies the pointer under a mutex held
+/// only for the copy, then pins it for its whole evaluation; a concurrent
+/// `Reload` retires the old world only when the last in-flight query drops
+/// its pin. No query ever blocks on — or observes — a partially ingested
+/// world: `ServingSnapshot::Build` runs entirely before `Reload` is called.
 ///
 /// `Stop` and `Reload` are serialized by a lifecycle mutex: a reload racing
 /// shutdown either publishes before the engine stops or is rejected with
@@ -207,7 +207,16 @@ class QueryEngine {
   void WorkerLoop(size_t worker_index);
   void WatchdogLoop();
 
-  std::atomic<std::shared_ptr<const PublishedWorld>> published_;
+  /// Copy of the published world, taken under `publish_mu_`.
+  std::shared_ptr<const PublishedWorld> Published() const;
+
+  /// Held only to copy or swap `published_`. Not a
+  /// `std::atomic<std::shared_ptr>`: libstdc++ 12's `load` releases that
+  /// type's internal lock with relaxed order, so a load is not ordered
+  /// before the next store and ThreadSanitizer reports every Reload racing a
+  /// query.
+  mutable std::mutex publish_mu_;
+  std::shared_ptr<const PublishedWorld> published_;  // guarded by publish_mu_
 
   /// Serializes Reload against Stop/BeginDrain (satellite: a reload racing
   /// shutdown must not publish into a destroyed engine).
