@@ -206,17 +206,14 @@ class QueryEngine {
 
   void WorkerLoop(size_t worker_index);
   void WatchdogLoop();
-
-  /// Copy of the published world, taken under `publish_mu_`.
+  /// A copy of `published_`, taken under `publish_mu_`.
   std::shared_ptr<const PublishedWorld> Published() const;
 
-  /// Held only to copy or swap `published_`. Not a
-  /// `std::atomic<std::shared_ptr>`: libstdc++ 12's `load` releases that
-  /// type's internal lock with relaxed order, so a load is not ordered
-  /// before the next store and ThreadSanitizer reports every Reload racing a
-  /// query.
+  /// Guards `published_`, held only to copy or swap it. Not a
+  /// `std::atomic<std::shared_ptr>`: libstdc++ 12's `load` unlocks with
+  /// relaxed order, so ThreadSanitizer saw every Reload race a query.
   mutable std::mutex publish_mu_;
-  std::shared_ptr<const PublishedWorld> published_;  // guarded by publish_mu_
+  std::shared_ptr<const PublishedWorld> published_;
 
   /// Serializes Reload against Stop/BeginDrain (satellite: a reload racing
   /// shutdown must not publish into a destroyed engine).

@@ -56,11 +56,9 @@ culinary::Result<ScoreResult> ScoreResolved(
   return result;
 }
 
-/// Largest request set the suggest sweep accepts. Its gain accumulators are
-/// uint32 and the matrix entries it adds are uint16, so a set of at most
-/// this many members cannot overflow an accumulator. Sets are deduplicated
-/// dense indices, so only a world of more than 2^16 ingredients can exceed
-/// it.
+/// Largest request set the sweep accepts: each uint32 accumulator adds one
+/// uint16 matrix entry per member. Sets are deduplicated dense indices, so
+/// only a world of more than 2^16 ingredients can exceed it.
 constexpr size_t kMaxSuggestSetSize = size_t{1} << 16;
 static_assert(kMaxSuggestSetSize * std::numeric_limits<uint16_t>::max() <=
                   std::numeric_limits<uint32_t>::max(),
@@ -371,7 +369,7 @@ void SuggestSweep(const ServingSnapshot& snapshot,
 
 }  // namespace
 
-// --- dispatch -----------------------------------------------------------------
+// --- dispatch ---------------------------------------------------------------
 
 const char* EndpointName(Endpoint endpoint) {
   switch (endpoint) {

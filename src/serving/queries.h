@@ -42,7 +42,8 @@ struct QueryContext {
 enum class Endpoint {
   kPing = 0,     ///< liveness + current snapshot generation
   kScore,        ///< N_s + classification of an ingredient set
-  kSuggest,      ///< top-K pairing partners for an ingredient set
+  kSuggest,      ///< top-K world-cache ingredients outside a set, by
+                 ///< (`Suggestion::gain` desc, id asc)
   kFingerprint,  ///< one cuisine's culinary fingerprint
   kSimilar,      ///< nearest cuisines to one region
 };
@@ -106,13 +107,6 @@ struct Suggestion {
   /// candidate would add, in the paper's N_s units.
   double gain = 0.0;
 };
-
-// A suggest answer is the top-`k` pairing partners of the request set:
-// every world-cache ingredient not already in the set, ranked by descending
-// `gain`. Equal gains order by ascending ingredient id, so the list is
-// bit-identical no matter how many serving threads race over it or how the
-// requests were batched. Suggest is served only through `EvaluateQuery` and
-// `EvaluateBatch`, which share one kernel.
 
 // --- fingerprint ------------------------------------------------------------
 

@@ -165,8 +165,8 @@ TEST(BatchEquivalenceTest, HugeWireKIsClampedNotFatal) {
   // Regression: k rides the wire unclamped beyond the >= 0 check, and the
   // batch sweep used to reserve(k + 1) verbatim — one {"op":"batch"} line
   // carrying k=1e15 would throw length_error inside a worker thread and
-  // terminate the server. Huge k must instead behave exactly like the
-  // single path: every candidate comes back, batched or not.
+  // terminate the server. Huge k must instead return every candidate,
+  // batched or not.
   auto snapshot = BuildSmall(3);
   const std::vector<recipe::Recipe>& recipes = snapshot->db().recipes();
   std::vector<Request> requests;

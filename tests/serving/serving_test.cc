@@ -197,7 +197,7 @@ TEST(WireNumbersTest, IdsOutsideTheIdTypeOrFractionalAreInvalidArgument) {
 }
 
 TEST(WireNumbersTest, StringIdsAreInvalidArgument) {
-  // A string array under "ids" used to be dropped, leaving no ids at all.
+  // Dropping a string array under "ids" would leave the request no ids.
   for (const char* line : {R"({"op":"suggest","ids":["3","4"]})",
                            R"({"op":"score","ids":["3"]})"}) {
     EXPECT_TRUE(ParseRequestLine(line).status().IsInvalidArgument()) << line;
@@ -208,7 +208,7 @@ TEST(WireNumbersTest, StringIdsAreInvalidArgument) {
 }
 
 TEST(WireNumbersTest, FractionalKIsInvalidArgument) {
-  // A fractional k used to be truncated: "k":2.5 answered 2 suggestions.
+  // Truncating a fractional k would answer "k":2.5 with 2 suggestions.
   for (const char* k : {"2.5", "0.5", "1e-3"}) {
     const std::string line =
         TwoIngredientLine("suggest", std::string(R"(,"k":)") + k);
