@@ -6,9 +6,11 @@
 # itself.
 #
 #   cmake -DLOADGEN=<loadgen> -DSERVE=<culinary_serve> -DBATCH=<n>
-#         -DEXPECTED=<sha256 hex> -P golden_transcript.cmake
+#         -DEXPECTED=<sha256 hex> [-DSERVE_ARGS=<flags>]
+#         -P golden_transcript.cmake
 #
-# BATCH is loadgen's --batch (0 = one request per line).
+# BATCH is loadgen's --batch (0 = one request per line). SERVE_ARGS, a
+# CMake list, is appended to the server's command line.
 
 foreach(var LOADGEN SERVE BATCH EXPECTED)
   if(NOT DEFINED ${var})
@@ -18,7 +20,7 @@ endforeach()
 
 execute_process(
   COMMAND ${LOADGEN} --small --count=2000 --k=10 --batch=${BATCH} --shutdown
-  COMMAND ${SERVE} --small --threads=2
+  COMMAND ${SERVE} --small --threads=2 ${SERVE_ARGS}
   OUTPUT_VARIABLE transcript
   ERROR_VARIABLE server_log
   RESULTS_VARIABLE exit_codes)
@@ -33,7 +35,8 @@ endforeach()
 string(SHA256 digest "${transcript}")
 if(NOT digest STREQUAL EXPECTED)
   message(FATAL_ERROR
-    "golden_transcript: --batch=${BATCH} stdout SHA-256 is\n  ${digest}\n"
+    "golden_transcript: --batch=${BATCH} ${SERVE_ARGS} stdout SHA-256 is\n"
+    "  ${digest}\n"
     "expected\n  ${EXPECTED}")
 endif()
-message(STATUS "golden_transcript: --batch=${BATCH} ${digest}")
+message(STATUS "golden_transcript: --batch=${BATCH} ${SERVE_ARGS} ${digest}")
