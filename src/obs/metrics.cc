@@ -7,7 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <sstream>
+
+#include "common/json.h"
 
 namespace culinary::obs {
 
@@ -228,83 +229,50 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-namespace {
-
-void AppendJsonString(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (std::isinf(v)) {
-    os << (v > 0 ? "\"inf\"" : "\"-inf\"");
-    return;
-  }
-  if (std::isnan(v)) {
-    os << "\"nan\"";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
-}  // namespace
-
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    os << (i == 0 ? "\n    " : ",\n    ");
-    AppendJsonString(os, snapshot.counters[i].first);
-    os << ": " << snapshot.counters[i].second;
-  }
-  os << (snapshot.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    os << (i == 0 ? "\n    " : ",\n    ");
-    AppendJsonString(os, snapshot.gauges[i].first);
-    os << ": ";
-    AppendJsonDouble(os, snapshot.gauges[i].second);
-  }
-  os << (snapshot.gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
+  std::string out;
+  // Counters and gauges are both `"name": value` objects.
+  const auto append_scalars = [&out](const auto& metrics) {
+    for (size_t i = 0; i < metrics.size(); ++i) {
+      out += i == 0 ? "\n    \"" : ",\n    \"";
+      json::AppendEscaped(out, metrics[i].first);
+      out += "\": ";
+      json::AppendNumber(out, metrics[i].second);
+    }
+    out += metrics.empty() ? "" : "\n  ";
+  };
+  out += "{\n  \"counters\": {";
+  append_scalars(snapshot.counters);
+  out += "},\n  \"gauges\": {";
+  append_scalars(snapshot.gauges);
+  out += "},\n  \"histograms\": {";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& [name, h] = snapshot.histograms[i];
-    os << (i == 0 ? "\n    " : ",\n    ");
-    AppendJsonString(os, name);
-    os << ": {\"count\": " << h.count << ", \"sum\": ";
-    AppendJsonDouble(os, h.sum);
-    os << ", \"mean\": ";
-    AppendJsonDouble(os, h.mean());
-    os << ", \"min\": ";
-    AppendJsonDouble(os, h.min);
-    os << ", \"max\": ";
-    AppendJsonDouble(os, h.max);
-    os << ", \"buckets\": [";
+    out += i == 0 ? "\n    \"" : ",\n    \"";
+    json::AppendEscaped(out, name);
+    out += "\": {\"count\": ";
+    json::AppendNumber(out, h.count);
+    out += ", \"sum\": ";
+    json::AppendNumber(out, h.sum);
+    out += ", \"mean\": ";
+    json::AppendNumber(out, h.mean());
+    out += ", \"min\": ";
+    json::AppendNumber(out, h.min);
+    out += ", \"max\": ";
+    json::AppendNumber(out, h.max);
+    out += ", \"buckets\": [";
     for (size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b != 0) os << ", ";
-      os << "{\"le\": ";
-      AppendJsonDouble(os, h.buckets[b].first);
-      os << ", \"count\": " << h.buckets[b].second << "}";
+      out += b == 0 ? "{\"le\": " : ", {\"le\": ";
+      json::AppendNumber(out, h.buckets[b].first);
+      out += ", \"count\": ";
+      json::AppendNumber(out, h.buckets[b].second);
+      out += '}';
     }
-    os << "]}";
+    out += "]}";
   }
-  os << (snapshot.histograms.empty() ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  out += snapshot.histograms.empty() ? "" : "\n  ";
+  out += "}\n}\n";
+  return out;
 }
 
 bool WriteMetricsJsonFile(const MetricsRegistry& registry,

@@ -1,51 +1,13 @@
 #include "obs/slo.h"
 
-#include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
 #include <utility>
+
+#include "common/json.h"
 
 namespace culinary::obs {
 
 namespace {
-
-void AppendJsonString(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (std::isinf(v)) {
-    os << (v > 0 ? "\"inf\"" : "\"-inf\"");
-    return;
-  }
-  if (std::isnan(v)) {
-    os << "\"nan\"";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
 
 double BurnRate(uint64_t bad, uint64_t total, double availability_target) {
   if (total == 0) return 0.0;
@@ -153,14 +115,19 @@ std::string SloMonitor::ToJson(int64_t now_s) {
   std::vector<SloEndpointStatus> statuses = Evaluate(now_s);
   // Objectives and the alert counter are read after Evaluate under a fresh
   // lock; both only grow/latch, so the JSON stays self-consistent.
-  std::ostringstream os;
-  os << "{\n  \"config\": {\"fast_window_s\": " << config_.fast_window_s
-     << ", \"slow_window_s\": " << config_.slow_window_s
-     << ", \"fast_burn_threshold\": ";
-  AppendJsonDouble(os, config_.fast_burn_threshold);
-  os << ", \"slow_burn_threshold\": ";
-  AppendJsonDouble(os, config_.slow_burn_threshold);
-  os << "},\n  \"endpoints\": {";
+  std::string out = "{\n  \"config\": {\"fast_window_s\": ";
+  // `, "key": value`: every number member after an object's first.
+  const auto member = [&out](const char* key, auto value) {
+    out += ", \"";
+    out += key;
+    out += "\": ";
+    json::AppendNumber(out, value);
+  };
+  json::AppendNumber(out, config_.fast_window_s);
+  member("slow_window_s", config_.slow_window_s);
+  member("fast_burn_threshold", config_.fast_burn_threshold);
+  member("slow_burn_threshold", config_.slow_burn_threshold);
+  out += "},\n  \"endpoints\": {";
   for (size_t i = 0; i < statuses.size(); ++i) {
     const SloEndpointStatus& s = statuses[i];
     double latency_threshold_us = 0.0;
@@ -173,26 +140,29 @@ std::string SloMonitor::ToJson(int64_t now_s) {
         availability_target = it->second.objective.availability_target;
       }
     }
-    os << (i == 0 ? "\n    " : ",\n    ");
-    AppendJsonString(os, s.name);
-    os << ": {\"latency_threshold_us\": ";
-    AppendJsonDouble(os, latency_threshold_us);
-    os << ", \"availability_target\": ";
-    AppendJsonDouble(os, availability_target);
-    os << ", \"fast_total\": " << s.fast_total
-       << ", \"fast_bad\": " << s.fast_bad
-       << ", \"slow_total\": " << s.slow_total
-       << ", \"slow_bad\": " << s.slow_bad << ", \"fast_burn\": ";
-    AppendJsonDouble(os, s.fast_burn);
-    os << ", \"slow_burn\": ";
-    AppendJsonDouble(os, s.slow_burn);
-    os << ", \"fast_alert\": " << (s.fast_alert ? "true" : "false")
-       << ", \"slow_alert\": " << (s.slow_alert ? "true" : "false")
-       << ", \"alert\": " << (s.alert ? "true" : "false") << "}";
+    out += i == 0 ? "\n    \"" : ",\n    \"";
+    json::AppendEscaped(out, s.name);
+    out += "\": {\"latency_threshold_us\": ";
+    json::AppendNumber(out, latency_threshold_us);
+    member("availability_target", availability_target);
+    member("fast_total", s.fast_total);
+    member("fast_bad", s.fast_bad);
+    member("slow_total", s.slow_total);
+    member("slow_bad", s.slow_bad);
+    member("fast_burn", s.fast_burn);
+    member("slow_burn", s.slow_burn);
+    out += ", \"fast_alert\": ";
+    out += s.fast_alert ? "true" : "false";
+    out += ", \"slow_alert\": ";
+    out += s.slow_alert ? "true" : "false";
+    out += ", \"alert\": ";
+    out += s.alert ? "true}" : "false}";
   }
-  os << (statuses.empty() ? "" : "\n  ") << "},\n  \"alerts_fired\": "
-     << alerts_fired() << "\n}";
-  return os.str();
+  out += statuses.empty() ? "" : "\n  ";
+  out += "},\n  \"alerts_fired\": ";
+  json::AppendNumber(out, alerts_fired());
+  out += "\n}";
+  return out;
 }
 
 uint64_t SloMonitor::alerts_fired() const {

@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
-#include <sstream>
+
+#include "common/json.h"
 
 namespace culinary::obs {
 
@@ -112,36 +113,27 @@ double TraceSpan::ElapsedMs() const {
       .count();
 }
 
-namespace {
-
-void AppendEscaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string TraceToChromeJson(const std::vector<TraceEvent>& events) {
   // Complete events ("ph": "X") with microsecond timestamps — the format
   // chrome://tracing and Perfetto load directly.
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"name\": ";
-    AppendEscaped(os, e.name);
-    os << ", \"cat\": ";
-    AppendEscaped(os, e.category);
-    os << ", \"ph\": \"X\", \"ts\": " << e.start_us
-       << ", \"dur\": " << e.duration_us << ", \"pid\": 1, \"tid\": "
-       << e.thread_id << "}";
+    out += i == 0 ? "\n  {\"name\": \"" : ",\n  {\"name\": \"";
+    json::AppendEscaped(out, e.name);
+    out += "\", \"cat\": \"";
+    json::AppendEscaped(out, e.category);
+    out += "\", \"ph\": \"X\", \"ts\": ";
+    json::AppendNumber(out, e.start_us);
+    out += ", \"dur\": ";
+    json::AppendNumber(out, e.duration_us);
+    out += ", \"pid\": 1, \"tid\": ";
+    json::AppendNumber(out, e.thread_id);
+    out += '}';
   }
-  os << (events.empty() ? "" : "\n") << "]}\n";
-  return os.str();
+  out += events.empty() ? "" : "\n";
+  out += "]}\n";
+  return out;
 }
 
 bool WriteTraceJsonFile(const TraceSink& sink, const std::string& path,

@@ -2,15 +2,13 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "analysis/null_models.h"
+#include "common/json.h"
 #include "recipe/region.h"
 
 namespace culinary::serving {
@@ -288,85 +286,127 @@ class FlatJsonReader {
 
 // --- serialization helpers --------------------------------------------------
 
-void AppendDouble(std::ostringstream& os, double value) {
-  // max_digits10 keeps serialization a pure function of the double: two
-  // runs producing bit-identical values print bit-identical lines, which is
-  // what the cross-thread-count identity checks diff.
-  os << std::setprecision(17) << value;
-}
-
-void AppendScore(std::ostringstream& os, const ScoreResult& score) {
-  os << ",\"score\":";
-  AppendDouble(os, score.score);
-  os << ",\"classified\":\"" << recipe::RegionCode(score.classified) << "\"";
-  os << ",\"resolved\":[";
+void AppendScore(std::string& out, const ScoreResult& score) {
+  out += ",\"score\":";
+  json::AppendNumber(out, score.score);
+  out += ",\"classified\":\"";
+  out += recipe::RegionCode(score.classified);
+  out += "\",\"resolved\":[";
   for (size_t i = 0; i < score.resolved.size(); ++i) {
-    if (i > 0) os << ',';
-    os << score.resolved[i];
+    if (i > 0) out += ',';
+    json::AppendNumber(out, score.resolved[i]);
   }
-  os << "],\"unresolved\":[";
+  out += "],\"unresolved\":[";
   for (size_t i = 0; i < score.unresolved.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << EscapeJson(score.unresolved[i]) << '"';
+    out += i > 0 ? ",\"" : "\"";
+    json::AppendEscaped(out, score.unresolved[i]);
+    out += '"';
   }
-  os << ']';
+  out += ']';
 }
 
-void AppendSuggestions(std::ostringstream& os,
+void AppendSuggestions(std::string& out,
                        const std::vector<Suggestion>& suggestions) {
-  os << ",\"suggestions\":[";
+  out += ",\"suggestions\":[";
   for (size_t i = 0; i < suggestions.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"id\":" << suggestions[i].id << ",\"name\":\""
-       << EscapeJson(suggestions[i].name) << "\",\"gain\":";
-    AppendDouble(os, suggestions[i].gain);
-    os << '}';
+    out += i > 0 ? ",{\"id\":" : "{\"id\":";
+    json::AppendNumber(out, suggestions[i].id);
+    out += ",\"name\":\"";
+    json::AppendEscaped(out, suggestions[i].name);
+    out += "\",\"gain\":";
+    json::AppendNumber(out, suggestions[i].gain);
+    out += '}';
   }
-  os << ']';
+  out += ']';
 }
 
-void AppendFingerprint(std::ostringstream& os,
+void AppendFingerprint(std::string& out,
                        const FingerprintResult& fingerprint) {
-  os << ",\"region\":\"" << recipe::RegionCode(fingerprint.region) << "\"";
-  os << ",\"num_recipes\":" << fingerprint.num_recipes;
-  os << ",\"num_unique_ingredients\":" << fingerprint.num_unique_ingredients;
-  os << ",\"mean_recipe_size\":";
-  AppendDouble(os, fingerprint.mean_recipe_size);
-  os << ",\"mean_pairing\":";
-  AppendDouble(os, fingerprint.mean_pairing);
-  os << ",\"top_ingredients\":[";
+  out += ",\"region\":\"";
+  out += recipe::RegionCode(fingerprint.region);
+  out += "\",\"num_recipes\":";
+  json::AppendNumber(out, fingerprint.num_recipes);
+  out += ",\"num_unique_ingredients\":";
+  json::AppendNumber(out, fingerprint.num_unique_ingredients);
+  out += ",\"mean_recipe_size\":";
+  json::AppendNumber(out, fingerprint.mean_recipe_size);
+  out += ",\"mean_pairing\":";
+  json::AppendNumber(out, fingerprint.mean_pairing);
+  out += ",\"top_ingredients\":[";
   for (size_t i = 0; i < fingerprint.top_ingredients.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"name\":\"" << EscapeJson(fingerprint.top_ingredients[i].first)
-       << "\",\"count\":" << fingerprint.top_ingredients[i].second << '}';
+    out += i > 0 ? ",{\"name\":\"" : "{\"name\":\"";
+    json::AppendEscaped(out, fingerprint.top_ingredients[i].first);
+    out += "\",\"count\":";
+    json::AppendNumber(out, fingerprint.top_ingredients[i].second);
+    out += '}';
   }
-  os << "],\"baselines\":[";
+  out += "],\"baselines\":[";
   for (size_t i = 0; i < fingerprint.baselines.size(); ++i) {
     const analysis::FoodPairingResult& baseline = fingerprint.baselines[i];
-    if (i > 0) os << ',';
-    os << "{\"model\":\"" << analysis::NullModelKindSlug(baseline.kind)
-       << "\",\"real_mean\":";
-    AppendDouble(os, baseline.real_mean);
-    os << ",\"null_mean\":";
-    AppendDouble(os, baseline.null_mean);
-    os << ",\"z_score\":";
-    AppendDouble(os, baseline.z_score);
-    os << '}';
+    out += i > 0 ? ",{\"model\":\"" : "{\"model\":\"";
+    out += analysis::NullModelKindSlug(baseline.kind);
+    out += "\",\"real_mean\":";
+    json::AppendNumber(out, baseline.real_mean);
+    out += ",\"null_mean\":";
+    json::AppendNumber(out, baseline.null_mean);
+    out += ",\"z_score\":";
+    json::AppendNumber(out, baseline.z_score);
+    out += '}';
   }
-  os << ']';
+  out += ']';
 }
 
-void AppendSimilar(std::ostringstream& os, const SimilarResult& similar) {
-  os << ",\"region\":\"" << recipe::RegionCode(similar.region) << "\"";
-  os << ",\"neighbors\":[";
+void AppendSimilar(std::string& out, const SimilarResult& similar) {
+  out += ",\"region\":\"";
+  out += recipe::RegionCode(similar.region);
+  out += "\",\"neighbors\":[";
   for (size_t i = 0; i < similar.neighbors.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"region\":\"" << recipe::RegionCode(similar.neighbors[i].first)
-       << "\",\"similarity\":";
-    AppendDouble(os, similar.neighbors[i].second);
-    os << '}';
+    out += i > 0 ? ",{\"region\":\"" : "{\"region\":\"";
+    out += recipe::RegionCode(similar.neighbors[i].first);
+    out += "\",\"similarity\":";
+    json::AppendNumber(out, similar.neighbors[i].second);
+    out += '}';
   }
-  os << ']';
+  out += ']';
+}
+
+/// Appends the `"code"` and `"error"` members every failure carries.
+void AppendError(std::string& out, const culinary::Status& status) {
+  out += ",\"code\":\"";
+  out += StatusCodeToString(status.code());
+  out += "\",\"error\":\"";
+  json::AppendEscaped(out, status.message());
+  out += '"';
+}
+
+/// Appends the line `SerializeResponse` returns. Batch lines append each
+/// sub-response through here in place, so an element is exactly the line a
+/// single call would have produced, which the batch-vs-sequential identity
+/// checks diff.
+void AppendResponse(std::string& out, std::string_view id,
+                    const Response& response) {
+  out += "{\"id\":\"";
+  json::AppendEscaped(out, id);
+  out += "\",\"op\":\"";
+  out += EndpointName(response.endpoint);
+  out += response.status.ok() ? "\",\"ok\":true" : "\",\"ok\":false";
+  out += ",\"generation\":";
+  json::AppendNumber(out, response.generation);
+  if (!response.status.ok()) {
+    AppendError(out, response.status);
+  } else if (const auto* score = std::get_if<ScoreResult>(&response.payload)) {
+    AppendScore(out, *score);
+  } else if (const auto* suggestions =
+                 std::get_if<std::vector<Suggestion>>(&response.payload)) {
+    AppendSuggestions(out, *suggestions);
+  } else if (const auto* fingerprint =
+                 std::get_if<FingerprintResult>(&response.payload)) {
+    AppendFingerprint(out, *fingerprint);
+  } else if (const auto* similar =
+                 std::get_if<SimilarResult>(&response.payload)) {
+    AppendSimilar(out, *similar);
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -374,34 +414,7 @@ void AppendSimilar(std::ostringstream& os, const SimilarResult& similar) {
 std::string EscapeJson(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  json::AppendEscaped(out, text);
   return out;
 }
 
@@ -557,55 +570,40 @@ culinary::Result<WireRequest> ParseRequestLine(std::string_view line) {
 
 std::string SerializeResponse(const std::string& id,
                               const Response& response) {
-  std::ostringstream os;
-  os << "{\"id\":\"" << EscapeJson(id) << "\",\"op\":\""
-     << EndpointName(response.endpoint) << "\",\"ok\":"
-     << (response.status.ok() ? "true" : "false")
-     << ",\"generation\":" << response.generation;
-  if (!response.status.ok()) {
-    os << ",\"code\":\"" << StatusCodeToString(response.status.code())
-       << "\",\"error\":\"" << EscapeJson(response.status.message()) << "\"";
-  } else if (const auto* score = std::get_if<ScoreResult>(&response.payload)) {
-    AppendScore(os, *score);
-  } else if (const auto* suggestions =
-                 std::get_if<std::vector<Suggestion>>(&response.payload)) {
-    AppendSuggestions(os, *suggestions);
-  } else if (const auto* fingerprint =
-                 std::get_if<FingerprintResult>(&response.payload)) {
-    AppendFingerprint(os, *fingerprint);
-  } else if (const auto* similar =
-                 std::get_if<SimilarResult>(&response.payload)) {
-    AppendSimilar(os, *similar);
-  }
-  os << '}';
-  return os.str();
+  std::string out;
+  AppendResponse(out, id, response);
+  // Drop the growth slack: a load client keeps thousands of answers as
+  // references, and the slack would show in its peak RSS.
+  out.shrink_to_fit();
+  return out;
 }
 
 std::string SerializeBatchResponse(const std::string& id,
                                    const std::vector<std::string>& sub_ids,
                                    const std::vector<Response>& responses) {
-  std::ostringstream os;
-  os << "{\"id\":\"" << EscapeJson(id)
-     << "\",\"op\":\"batch\",\"ok\":true,\"count\":" << responses.size()
-     << ",\"responses\":[";
+  std::string out = "{\"id\":\"";
+  json::AppendEscaped(out, id);
+  out += "\",\"op\":\"batch\",\"ok\":true,\"count\":";
+  json::AppendNumber(out, responses.size());
+  out += ",\"responses\":[";
   for (size_t i = 0; i < responses.size(); ++i) {
-    if (i > 0) os << ',';
-    // Each element is exactly the line a single call would have produced —
-    // what the batch-vs-sequential identity checks diff.
-    os << SerializeResponse(i < sub_ids.size() ? sub_ids[i] : std::string(),
-                            responses[i]);
+    if (i > 0) out += ',';
+    AppendResponse(out, i < sub_ids.size() ? sub_ids[i] : std::string_view(),
+                   responses[i]);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  out.shrink_to_fit();  // as in SerializeResponse
+  return out;
 }
 
 std::string SerializeError(const std::string& id,
                            const culinary::Status& status) {
-  std::ostringstream os;
-  os << "{\"id\":\"" << EscapeJson(id) << "\",\"ok\":false,\"code\":\""
-     << StatusCodeToString(status.code()) << "\",\"error\":\""
-     << EscapeJson(status.message()) << "\"}";
-  return os.str();
+  std::string out = "{\"id\":\"";
+  json::AppendEscaped(out, id);
+  out += "\",\"ok\":false";
+  AppendError(out, status);
+  out += '}';
+  return out;
 }
 
 }  // namespace culinary::serving

@@ -67,8 +67,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/cancellation.h"
+#include "common/json.h"
 #include "datagen/world.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -225,23 +227,42 @@ int64_t SteadyNowS() {
       .count();
 }
 
+/// `{"id":…,"op":…,"ok":true`, the head every successful admin answer
+/// shares; the caller appends its fields and the closing brace.
+std::string AdminHead(const std::string& id, const char* op) {
+  std::string out = "{\"id\":\"";
+  json::AppendEscaped(out, id);
+  out += "\",\"op\":\"";
+  out += op;
+  out += "\",\"ok\":true";
+  return out;
+}
+
 std::string HealthJson(const std::string& id,
                        const serving::QueryEngine& engine,
                        const serving::ReloadManager& reloads) {
   const serving::QueryEngine::Stats stats = engine.stats();
-  std::string out = "{\"id\":\"" + serving::EscapeJson(id) +
-                    "\",\"op\":\"health\",\"ok\":true,\"state\":\"";
+  std::string out = AdminHead(id, "health");
+  out += ",\"state\":\"";
   out += serving::HealthStateName(engine.health());
-  out += "\",\"generation\":" + std::to_string(engine.generation());
-  out += ",\"accepted\":" + std::to_string(stats.accepted);
-  out += ",\"shed\":" + std::to_string(stats.shed);
-  out += ",\"deadline_shed\":" + std::to_string(stats.deadline_shed);
-  out += ",\"executed\":" + std::to_string(stats.executed);
-  out += ",\"batches\":" + std::to_string(stats.batches);
-  out += ",\"coalesced\":" + std::to_string(stats.coalesced);
-  out += ",\"reloads\":" + std::to_string(stats.reloads);
-  out += ",\"worker_stalls\":" + std::to_string(stats.worker_stalls);
-  out += ",\"failed_reloads\":" + std::to_string(reloads.failed_reloads());
+  out += '"';
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"generation", engine.generation()},
+      {"accepted", stats.accepted},
+      {"shed", stats.shed},
+      {"deadline_shed", stats.deadline_shed},
+      {"executed", stats.executed},
+      {"batches", stats.batches},
+      {"coalesced", stats.coalesced},
+      {"reloads", stats.reloads},
+      {"worker_stalls", stats.worker_stalls},
+      {"failed_reloads", reloads.failed_reloads()}};
+  for (const auto& [key, value] : counters) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    json::AppendNumber(out, value);
+  }
   out += ",\"breaker\":\"";
   out += robustness::CircuitBreakerStateName(reloads.breaker().state());
   out += "\"}";
@@ -316,9 +337,7 @@ int Serve(const ServeArgs& args, std::istream& in) {
     }
     const serving::WireRequest& wire = parsed.value();
     if (wire.is_admin && wire.op == "shutdown") {
-      std::cout << "{\"id\":\"" << serving::EscapeJson(wire.id)
-                << "\",\"op\":\"shutdown\",\"ok\":true}\n"
-                << std::flush;
+      std::cout << AdminHead(wire.id, "shutdown") << "}\n" << std::flush;
       break;
     }
     if (wire.is_admin && wire.op == "health") {
@@ -331,10 +350,10 @@ int Serve(const ServeArgs& args, std::istream& in) {
     if (wire.is_admin && wire.op == "reload") {
       const Status status = reloads.Reload(source);
       if (status.ok()) {
-        std::cout << "{\"id\":\"" << serving::EscapeJson(wire.id)
-                  << "\",\"op\":\"reload\",\"ok\":true,\"generation\":"
-                  << engine.generation() << "}\n"
-                  << std::flush;
+        std::string answer = AdminHead(wire.id, "reload");
+        answer += ",\"generation\":";
+        json::AppendNumber(answer, engine.generation());
+        std::cout << answer << "}\n" << std::flush;
       } else {
         // The engine keeps serving its last good snapshot (health
         // "degraded"); the error goes to the caller, not the process.
