@@ -64,6 +64,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -133,6 +134,18 @@ bool ParseUint64Value(const std::string& text, uint64_t* out) {
   return true;
 }
 
+/// Like ParseUint64Value, for a flag stored as int: a value past INT_MAX is
+/// an error rather than a wrapped cast.
+bool ParseIntValue(const std::string& text, int* out) {
+  uint64_t parsed = 0;
+  if (!ParseUint64Value(text, &parsed) ||
+      parsed > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 ServeArgs ParseArgs(int argc, char** argv) {
   ServeArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -169,11 +182,11 @@ ServeArgs ParseArgs(int argc, char** argv) {
       if (!ParseUint64Value(value, &number)) args.usage_error = true;
       args.null_recipes = static_cast<size_t>(number);
     } else if (key == "--reload-retries") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.reload_retries = static_cast<int>(number);
+      if (!ParseIntValue(value, &args.reload_retries)) args.usage_error = true;
     } else if (key == "--breaker-threshold") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.breaker_threshold = static_cast<int>(number);
+      if (!ParseIntValue(value, &args.breaker_threshold)) {
+        args.usage_error = true;
+      }
     } else if (key == "--breaker-cooldown-ms") {
       if (!ParseUint64Value(value, &number)) args.usage_error = true;
       args.breaker_cooldown_ms = static_cast<double>(number);
