@@ -188,12 +188,15 @@ TEST(JsonTest, RendersAllSections) {
   MetricsRegistry registry;
   registry.GetCounter("events").IncrementUnchecked(7);
   registry.GetGauge("threads").Set(4.0);
+  registry.GetGauge("ratio").Set(0.1);
   registry.GetHistogram("latency_ms").ObserveUnchecked(3.0);
   std::string json = MetricsToJson(registry.Snapshot());
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"events\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
+  // 17 significant digits, so the export reads back to the same double.
+  EXPECT_NE(json.find("\"ratio\": 0.10000000000000001"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"latency_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
@@ -212,8 +215,10 @@ TEST(JsonTest, EscapesMetricNames) {
   ScopedEnabled on(true);
   MetricsRegistry registry;
   registry.GetCounter("weird\"name\\here").IncrementUnchecked(1);
+  registry.GetCounter("tab\tcr\rsoh\x01").IncrementUnchecked(1);
   std::string json = MetricsToJson(registry.Snapshot());
   EXPECT_NE(json.find("weird\\\"name\\\\here"), std::string::npos);
+  EXPECT_NE(json.find("tab\\tcr\\rsoh\\u0001"), std::string::npos);
 }
 
 TEST(JsonTest, InfinityRendersAsString) {

@@ -146,10 +146,12 @@ TEST(SloMonitorTest, ToJsonCarriesConfigEndpointsAndAlertCount) {
   SloMonitor slo;
   slo.SetObjective({"score", 250.0, 0.999});
   slo.Record("score", 100.0, true, 1);
+  slo.Record("tab\tcr\rsoh\x01", 100.0, true, 1);
   const std::string json = slo.ToJson(1);
   EXPECT_NE(json.find("\"config\""), std::string::npos);
   EXPECT_NE(json.find("\"fast_window_s\""), std::string::npos);
   EXPECT_NE(json.find("\"score\""), std::string::npos);
+  EXPECT_NE(json.find("\"tab\\tcr\\rsoh\\u0001\""), std::string::npos);
   EXPECT_NE(json.find("\"alerts_fired\""), std::string::npos);
 }
 

@@ -162,9 +162,11 @@ TEST(ChromeJsonTest, EmptyTraceIsValid) {
 }
 
 TEST(ChromeJsonTest, EscapesNames) {
-  std::vector<TraceEvent> events{MakeEvent("with\"quote", 0)};
+  std::vector<TraceEvent> events{MakeEvent("with\"quote", 0),
+                                 MakeEvent("tab\tcr\rsoh\x01", 1)};
   std::string json = TraceToChromeJson(events);
   EXPECT_NE(json.find("with\\\"quote"), std::string::npos);
+  EXPECT_NE(json.find("tab\\tcr\\rsoh\\u0001"), std::string::npos);
 }
 
 TEST(ChromeJsonFileTest, WritesAndReportsErrors) {

@@ -4,6 +4,7 @@
 
 #include <future>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +154,20 @@ TEST(ProtocolTest, EscapeJsonHandlesSpecials) {
   EXPECT_EQ(EscapeJson("plain"), "plain");
   EXPECT_EQ(EscapeJson("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(EscapeJson("line\nbreak"), "line\\nbreak");
+}
+
+// The one writer and the one reader agree: any byte string escaped by
+// EscapeJson parses back to itself.
+TEST(ProtocolTest, EscapeJsonRoundTripsThroughTheParser) {
+  std::mt19937_64 rng(1803);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string s(rng() % 48, '\0');
+    for (char& c : s) c = static_cast<char>(rng() & 0xFF);
+    auto parsed =
+        ParseRequestLine(R"({"op":"ping","id":")" + EscapeJson(s) + R"("})");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed.value().id, s);
+  }
 }
 
 TEST(ProtocolTest, SerializesResponsesAndErrors) {
