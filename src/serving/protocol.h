@@ -85,8 +85,8 @@ std::string SerializeBatchResponse(const std::string& id,
 std::string SerializeError(const std::string& id,
                            const culinary::Status& status);
 
-/// JSON string escaping for the serializers (quotes, backslashes, control
-/// characters). Exposed for tests and the load generator.
+/// `text` escaped for the inside of a JSON string by the writer every
+/// serializer uses (`json::AppendEscaped`). For tests and load generators.
 std::string EscapeJson(std::string_view text);
 
 }  // namespace culinary::serving
