@@ -34,7 +34,8 @@ execute_process(
   OUTPUT_QUIET
   ERROR_VARIABLE log)
 if(NOT code EQUAL 0)
-  message(FATAL_ERROR "json_exports_valid: culinary pairing exited ${code}\n${log}")
+  message(FATAL_ERROR
+    "json_exports_valid: culinary pairing exited ${code}\n${log}")
 endif()
 
 execute_process(
