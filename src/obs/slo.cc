@@ -115,7 +115,7 @@ std::string SloMonitor::ToJson(int64_t now_s) {
   std::vector<SloEndpointStatus> statuses = Evaluate(now_s);
   // Objectives and the alert counter are read after Evaluate under a fresh
   // lock; both only grow/latch, so the JSON stays self-consistent.
-  std::string out = "{\n  \"config\": {\"fast_window_s\": ";
+  std::string out;
   // `, "key": value`: every number member after an object's first.
   const auto member = [&out](const char* key, auto value) {
     out += ", \"";
@@ -123,6 +123,7 @@ std::string SloMonitor::ToJson(int64_t now_s) {
     out += "\": ";
     json::AppendNumber(out, value);
   };
+  out += "{\n  \"config\": {\"fast_window_s\": ";
   json::AppendNumber(out, config_.fast_window_s);
   member("slow_window_s", config_.slow_window_s);
   member("fast_burn_threshold", config_.fast_burn_threshold);
