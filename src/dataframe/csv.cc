@@ -361,13 +361,6 @@ culinary::Result<Table> ReadCsvFile(const std::string& path,
   return ReadCsvString(buf.str(), options);
 }
 
-culinary::Result<Table> ReadCsvFileRetry(
-    const std::string& path, const CsvReadOptions& options,
-    const robustness::RetryPolicy& retry) {
-  return robustness::RetryResult(
-      retry, [&]() { return ReadCsvFile(path, options); });
-}
-
 namespace {
 
 void WriteField(std::string& out, std::string_view text, char delimiter) {

@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "dataframe/table.h"
 #include "robustness/error_sink.h"
-#include "robustness/retry.h"
 
 namespace culinary::df {
 
@@ -69,13 +68,6 @@ culinary::Result<Table> ReadCsvString(std::string_view text,
 /// robustness/fault_injector.h), making every IO failure path testable.
 culinary::Result<Table> ReadCsvFile(const std::string& path,
                                     const CsvReadOptions& options = {});
-
-/// `ReadCsvFile` with transient IO failures retried under `retry`
-/// (exponential backoff with deterministic jitter). Parse errors are never
-/// retried.
-culinary::Result<Table> ReadCsvFileRetry(const std::string& path,
-                                         const CsvReadOptions& options,
-                                         const robustness::RetryPolicy& retry);
 
 /// Serializes `table` as CSV text. Fields containing the delimiter, quotes
 /// or newlines are quoted; quotes are doubled.

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#if defined(CULINARYLAB_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace culinary::df::kernels {
 
 namespace {
@@ -111,75 +107,13 @@ void CompareDoubleDouble(const double* lhs, const double* rhs, CmpOp op,
   CompareDispatch(ArrayVsArray{lhs, rhs}, op, begin, end, out);
 }
 
-void CompareCodeEqScalar(const int32_t* codes, int32_t code, bool negate,
-                         size_t begin, size_t end, uint64_t* out) {
+void CompareCodeEq(const int32_t* codes, int32_t code, bool negate,
+                   size_t begin, size_t end, uint64_t* out) {
   if (negate) {
     FillMask(begin, end, out, [&](size_t i) { return codes[i] != code; });
   } else {
     FillMask(begin, end, out, [&](size_t i) { return codes[i] == code; });
   }
-}
-
-#if defined(CULINARYLAB_AVX2)
-
-namespace {
-
-/// One 64-bit mask word from 64 consecutive codes: eight 8-lane compares,
-/// each movemask contributing 8 bits. cmpeq lanes are all-ones on match, so
-/// the float movemask (sign bit per 32-bit lane) reads the compare result.
-__attribute__((target("avx2"))) inline uint64_t CodeEqWord(
-    const int32_t* codes, __m256i needle) {
-  uint64_t bits = 0;
-  for (int chunk = 0; chunk < 8; ++chunk) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(codes + chunk * 8));
-    const __m256i eq = _mm256_cmpeq_epi32(v, needle);
-    bits |= static_cast<uint64_t>(static_cast<unsigned>(
-                _mm256_movemask_ps(_mm256_castsi256_ps(eq))))
-            << (chunk * 8);
-  }
-  return bits;
-}
-
-__attribute__((target("avx2"))) void CompareCodeEqAvx2Impl(
-    const int32_t* codes, int32_t code, bool negate, size_t begin, size_t end,
-    uint64_t* out) {
-  const __m256i needle = _mm256_set1_epi32(code);
-  size_t w = begin >> 6;
-  size_t base = begin;
-  for (; base + 64 <= end; base += 64, ++w) {
-    const uint64_t bits = CodeEqWord(codes + base, needle);
-    // Full words only: flipping all 64 bits is exact Ne, no tail to mask.
-    out[w] = negate ? ~bits : bits;
-  }
-}
-
-}  // namespace
-
-bool CompareCodeEqAvx2(const int32_t* codes, int32_t code, bool negate,
-                       size_t begin, size_t end, uint64_t* out) {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  if (!supported) return false;
-  CompareCodeEqAvx2Impl(codes, code, negate, begin, end, out);
-  // Sub-word tail: scalar, which also zeroes the bits past `end`.
-  const size_t tail = begin + ((end - begin) & ~size_t{63});
-  if (tail < end) CompareCodeEqScalar(codes, code, negate, tail, end, out);
-  return true;
-}
-
-#else  // !CULINARYLAB_AVX2
-
-bool CompareCodeEqAvx2(const int32_t*, int32_t, bool, size_t, size_t,
-                       uint64_t*) {
-  return false;
-}
-
-#endif  // CULINARYLAB_AVX2
-
-void CompareCodeEq(const int32_t* codes, int32_t code, bool negate,
-                   size_t begin, size_t end, uint64_t* out) {
-  if (CompareCodeEqAvx2(codes, code, negate, begin, end, out)) return;
-  CompareCodeEqScalar(codes, code, negate, begin, end, out);
 }
 
 void FillConstant(bool value, size_t begin, size_t end, uint64_t* out) {

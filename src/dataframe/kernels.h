@@ -49,29 +49,9 @@ void CompareDoubleDouble(const double* lhs, const double* rhs, CmpOp op,
 /// codes[i] == code (or != when `negate`) over a dictionary column. The
 /// string literal is resolved to `code` once by the caller; rows compare as
 /// int32, never as strings. Null rows hold code -1 and the caller ANDs
-/// validity afterwards. Dispatches to the AVX2 kernel when the binary was
-/// built with CULINARYLAB_AVX2 and the CPU has it; otherwise scalar. Both
-/// paths produce identical mask words (the comparison is exact integer
-/// equality — there is nothing to reassociate), so dispatch never changes
-/// results, only speed.
+/// validity afterwards.
 void CompareCodeEq(const int32_t* codes, int32_t code, bool negate,
                    size_t begin, size_t end, uint64_t* out);
-
-/// The portable reference implementation of CompareCodeEq. Always
-/// available; exposed so tests can diff the AVX2 path against it directly.
-/// Like all kernels here, `begin` must be a multiple of 64: mask words are
-/// written wholesale with bit 0 of out[begin/64] meaning row `begin`.
-void CompareCodeEqScalar(const int32_t* codes, int32_t code, bool negate,
-                         size_t begin, size_t end, uint64_t* out);
-
-/// AVX2 CompareCodeEq: eight 8-lane compare+movemask chunks per 64-row
-/// word. Returns false without touching `out` when the binary lacks the
-/// kernel (built without CULINARYLAB_AVX2) or the CPU lacks AVX2 — the
-/// caller falls back to scalar. The sub-word tail past the last full
-/// 64-row block is filled by the scalar loop either way, with bits past
-/// `end` zeroed. Requires 64-aligned `begin` (see CompareCodeEqScalar).
-bool CompareCodeEqAvx2(const int32_t* codes, int32_t code, bool negate,
-                       size_t begin, size_t end, uint64_t* out);
 
 /// Every bit in [begin, end) set to `value` (constant-true / constant-false
 /// predicates, e.g. a dictionary literal absent from the dictionary).

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/statistics.h"
-#include "dataframe/expr.h"
 #include "dataframe/kernels.h"
 
 namespace culinary::df {
@@ -133,26 +132,6 @@ culinary::Result<Table> GroupByAggregate(const Table& table,
                                          const std::vector<Aggregation>& aggs) {
   if (keys.empty()) {
     return culinary::Status::InvalidArgument("GroupBy requires key columns");
-  }
-
-  // Fused fast path: a single string/int64 key with plain numeric
-  // aggregates runs on the expression engine's dictionary-code / flat-hash
-  // group-by, which is bit-identical to the row-at-a-time loop below (same
-  // first-seen group order, same accumulation order) without boxing a
-  // `Value` per cell or hashing an encoded string key per row.
-  {
-    bool fusable = keys.size() == 1;
-    if (fusable) {
-      auto idx = table.schema().FieldIndex(keys[0]);
-      fusable = !idx.has_value() ||
-                table.schema().field(*idx).type != DataType::kDouble;
-    }
-    for (const Aggregation& agg : aggs) {
-      if (agg.kind == AggKind::kCountDistinct) fusable = false;
-    }
-    if (fusable) {
-      return GroupByAggregateWhere(table, keys[0], aggs, nullptr);
-    }
   }
 
   CULINARY_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,

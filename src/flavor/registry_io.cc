@@ -388,7 +388,7 @@ culinary::Result<FlavorRegistry> LoadRegistryCsv(
 
   const std::string mol_path = prefix + "_molecules.csv";
   raw_options.stats = &csv_stats;
-  auto mol_read = df::ReadCsvFileRetry(mol_path, raw_options, options.retry);
+  auto mol_read = df::ReadCsvFile(mol_path, raw_options);
   if (!mol_read.ok()) {
     return mol_read.status().WithContext("loading registry molecules from " +
                                          mol_path);
@@ -414,7 +414,7 @@ culinary::Result<FlavorRegistry> LoadRegistryCsv(
 
   const std::string ent_path = prefix + "_entities.csv";
   raw_options.stats = &csv_stats;
-  auto ent_read = df::ReadCsvFileRetry(ent_path, raw_options, options.retry);
+  auto ent_read = df::ReadCsvFile(ent_path, raw_options);
   if (!ent_read.ok()) {
     return ent_read.status().WithContext("loading registry entities from " +
                                          ent_path);

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "flavor/registry.h"
 #include "robustness/error_sink.h"
-#include "robustness/retry.h"
 
 namespace culinary::flavor {
 
@@ -40,8 +39,6 @@ struct RegistryLoadOptions {
   robustness::ErrorSink* error_sink = nullptr;
   /// Receives merged accounting over both files (may be null).
   robustness::IngestStats* stats = nullptr;
-  /// Retry schedule for transient IO failures while reading the two files.
-  robustness::RetryPolicy retry = robustness::RetryPolicy::None();
 };
 
 /// Writes both CSV files crash-safely (temp file + rename, see
@@ -56,8 +53,8 @@ culinary::Status SaveRegistryCsv(const FlavorRegistry& registry,
 /// constituent ids, non-contiguous ids).
 culinary::Result<FlavorRegistry> LoadRegistryCsv(const std::string& prefix);
 
-/// `LoadRegistryCsv` with explicit error policy, diagnostics, accounting
-/// and IO retry (see `RegistryLoadOptions`).
+/// `LoadRegistryCsv` with explicit error policy, diagnostics and
+/// accounting (see `RegistryLoadOptions`).
 culinary::Result<FlavorRegistry> LoadRegistryCsv(
     const std::string& prefix, const RegistryLoadOptions& options);
 

@@ -1,6 +1,5 @@
 #include "obs/slo.h"
 
-#include <limits>
 #include <utility>
 
 #include "common/json.h"
@@ -9,21 +8,14 @@ namespace culinary::obs {
 
 namespace {
 
-double BurnRate(uint64_t bad, uint64_t total, double availability_target) {
+double BurnRate(uint64_t bad, uint64_t total) {
   if (total == 0) return 0.0;
-  const double budget = 1.0 - availability_target;
-  if (budget <= 0.0) {
-    // A 100% target has no budget; any badness is an infinite burn.
-    return bad == 0 ? 0.0 : std::numeric_limits<double>::infinity();
-  }
   const double bad_fraction =
       static_cast<double>(bad) / static_cast<double>(total);
-  return bad_fraction / budget;
+  return bad_fraction / (1.0 - kSloAvailabilityTarget);
 }
 
 }  // namespace
-
-SloMonitor::SloMonitor(SloWindowConfig config) : config_(config) {}
 
 void SloMonitor::SetObjective(SloObjective objective) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -61,7 +53,7 @@ void SloMonitor::Record(std::string_view name, double latency_us, bool ok,
 }
 
 void SloMonitor::Prune(Endpoint& ep, int64_t now_s) {
-  const int64_t horizon = now_s - config_.slow_window_s;
+  const int64_t horizon = now_s - kSloSlowWindowS;
   while (!ep.buckets.empty() && ep.buckets.front().second <= horizon) {
     ep.buckets.pop_front();
   }
@@ -71,8 +63,8 @@ SloEndpointStatus SloMonitor::EvaluateLocked(const std::string& name,
                                              Endpoint& ep, int64_t now_s) {
   SloEndpointStatus status;
   status.name = name;
-  const int64_t fast_horizon = now_s - config_.fast_window_s;
-  const int64_t slow_horizon = now_s - config_.slow_window_s;
+  const int64_t fast_horizon = now_s - kSloFastWindowS;
+  const int64_t slow_horizon = now_s - kSloSlowWindowS;
   for (const Bucket& b : ep.buckets) {
     if (b.second <= slow_horizon || b.second > now_s) continue;
     status.slow_total += b.total;
@@ -82,11 +74,10 @@ SloEndpointStatus SloMonitor::EvaluateLocked(const std::string& name,
       status.fast_bad += b.bad;
     }
   }
-  const double target = ep.objective.availability_target;
-  status.fast_burn = BurnRate(status.fast_bad, status.fast_total, target);
-  status.slow_burn = BurnRate(status.slow_bad, status.slow_total, target);
-  status.fast_alert = status.fast_burn >= config_.fast_burn_threshold;
-  status.slow_alert = status.slow_burn >= config_.slow_burn_threshold;
+  status.fast_burn = BurnRate(status.fast_bad, status.fast_total);
+  status.slow_burn = BurnRate(status.slow_bad, status.slow_total);
+  status.fast_alert = status.fast_burn >= kSloFastBurnThreshold;
+  status.slow_alert = status.slow_burn >= kSloSlowBurnThreshold;
   status.alert = status.fast_alert && status.slow_alert;
   if (status.alert && !ep.alert_active) ++alerts_fired_;
   ep.alert_active = status.alert;
@@ -124,28 +115,26 @@ std::string SloMonitor::ToJson(int64_t now_s) {
     json::AppendNumber(out, value);
   };
   out += "{\n  \"config\": {\"fast_window_s\": ";
-  json::AppendNumber(out, config_.fast_window_s);
-  member("slow_window_s", config_.slow_window_s);
-  member("fast_burn_threshold", config_.fast_burn_threshold);
-  member("slow_burn_threshold", config_.slow_burn_threshold);
+  json::AppendNumber(out, kSloFastWindowS);
+  member("slow_window_s", kSloSlowWindowS);
+  member("fast_burn_threshold", kSloFastBurnThreshold);
+  member("slow_burn_threshold", kSloSlowBurnThreshold);
   out += "},\n  \"endpoints\": {";
   for (size_t i = 0; i < statuses.size(); ++i) {
     const SloEndpointStatus& s = statuses[i];
     double latency_threshold_us = 0.0;
-    double availability_target = 0.999;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = endpoints_.find(s.name);
       if (it != endpoints_.end()) {
         latency_threshold_us = it->second.objective.latency_threshold_us;
-        availability_target = it->second.objective.availability_target;
       }
     }
     out += i == 0 ? "\n    \"" : ",\n    \"";
     json::AppendEscaped(out, s.name);
     out += "\": {\"latency_threshold_us\": ";
     json::AppendNumber(out, latency_threshold_us);
-    member("availability_target", availability_target);
+    member("availability_target", kSloAvailabilityTarget);
     member("fast_total", s.fast_total);
     member("fast_bad", s.fast_bad);
     member("slow_total", s.slow_total);

@@ -16,29 +16,28 @@ namespace culinary::obs {
 /// What "good" means for one endpoint. A request is *bad* when it fails
 /// outright or (if `latency_threshold_us > 0`) completes slower than the
 /// latency objective — the standard way to fold a latency SLO into an
-/// availability-style error budget.
+/// availability-style error budget. Every endpoint must keep
+/// `kSloAvailabilityTarget` of its requests good.
 struct SloObjective {
   std::string name;
   /// Latency objective in microseconds; 0 disables the latency criterion
   /// and only outright failures burn budget.
   double latency_threshold_us = 0.0;
-  /// Fraction of requests that must be good (0.999 = 0.1% error budget).
-  double availability_target = 0.999;
 };
 
-/// Multi-window burn-rate alerting configuration (Google SRE workbook
-/// shape). Burn rate is `bad_fraction / (1 - availability_target)`: burn 1
-/// consumes the budget exactly over the SLO period, burn 14.4 eats a
-/// 30-day budget in ~2 hours. The *fast* window catches sharp outages
-/// quickly; the *slow* window confirms the problem is sustained before the
-/// combined alert fires, so a brief blip trips the fast window only and
-/// never pages.
-struct SloWindowConfig {
-  int64_t fast_window_s = 300;
-  int64_t slow_window_s = 3600;
-  double fast_burn_threshold = 14.4;
-  double slow_burn_threshold = 6.0;
-};
+/// Fraction of requests that must be good (0.999 = 0.1% error budget).
+inline constexpr double kSloAvailabilityTarget = 0.999;
+
+/// Multi-window burn-rate alerting (Google SRE workbook shape). Burn rate
+/// is `bad_fraction / (1 - kSloAvailabilityTarget)`: burn 1 consumes the
+/// budget exactly over the SLO period, burn 14.4 eats a 30-day budget in
+/// ~2 hours. The *fast* window catches sharp outages quickly; the *slow*
+/// window confirms the problem is sustained before the combined alert
+/// fires, so a brief blip trips the fast window only and never pages.
+inline constexpr int64_t kSloFastWindowS = 300;
+inline constexpr int64_t kSloSlowWindowS = 3600;
+inline constexpr double kSloFastBurnThreshold = 14.4;
+inline constexpr double kSloSlowBurnThreshold = 6.0;
 
 /// Point-in-time evaluation of one endpoint's burn rates.
 struct SloEndpointStatus {
@@ -49,8 +48,8 @@ struct SloEndpointStatus {
   uint64_t slow_bad = 0;
   double fast_burn = 0.0;
   double slow_burn = 0.0;
-  bool fast_alert = false;  ///< fast_burn >= fast_burn_threshold
-  bool slow_alert = false;  ///< slow_burn >= slow_burn_threshold
+  bool fast_alert = false;  ///< fast_burn >= kSloFastBurnThreshold
+  bool slow_alert = false;  ///< slow_burn >= kSloSlowBurnThreshold
   bool alert = false;       ///< both windows tripped: page
 };
 
@@ -62,17 +61,14 @@ struct SloEndpointStatus {
 /// steady clock and the unit tests feed a synthetic one, so alert
 /// transitions replay deterministically. Buckets older than the slow
 /// window are pruned on every `Record`, bounding memory at
-/// O(endpoints * slow_window_s).
+/// O(endpoints * kSloSlowWindowS).
 ///
 /// Layering: obs sits below common, so this class reports nothing through
 /// `culinary::Status` and depends only on the standard library. Thread-safe.
 class SloMonitor {
  public:
-  explicit SloMonitor(SloWindowConfig config = SloWindowConfig{});
-
   /// Declares (or replaces) the objective for `objective.name`. Endpoints
-  /// recorded without a declared objective use a default availability-only
-  /// objective at 0.999.
+  /// recorded without a declared objective use an availability-only one.
   void SetObjective(SloObjective objective);
 
   /// Records one request outcome for `name` at second `t_s`.
@@ -95,8 +91,6 @@ class SloMonitor {
   /// Combined-alert activations since construction.
   uint64_t alerts_fired() const;
 
-  const SloWindowConfig& config() const { return config_; }
-
  private:
   struct Bucket {
     int64_t second = 0;
@@ -114,7 +108,6 @@ class SloMonitor {
   SloEndpointStatus EvaluateLocked(const std::string& name, Endpoint& ep,
                                    int64_t now_s);
 
-  const SloWindowConfig config_;
   mutable std::mutex mutex_;
   std::map<std::string, Endpoint, std::less<>> endpoints_;
   uint64_t alerts_fired_ = 0;

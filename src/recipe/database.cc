@@ -121,8 +121,7 @@ namespace {
 culinary::Result<RecipeDatabase> LoadCsvImpl(
     const std::string& path, const flavor::FlavorRegistry* registry,
     robustness::ErrorPolicy csv_policy, robustness::ErrorPolicy row_policy,
-    robustness::ErrorSink* sink, const robustness::RetryPolicy& retry,
-    IngestReport* report) {
+    robustness::ErrorSink* sink, IngestReport* report) {
   if (registry == nullptr) {
     return culinary::Status::InvalidArgument("registry must not be null");
   }
@@ -132,7 +131,7 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
   read_options.error_policy = csv_policy;
   read_options.error_sink = sink;
   read_options.stats = &local.records;
-  auto table_read = df::ReadCsvFileRetry(path, read_options, retry);
+  auto table_read = df::ReadCsvFile(path, read_options);
   if (!table_read.ok()) {
     return table_read.status().WithContext("loading recipe database from " +
                                            path);
@@ -236,8 +235,7 @@ culinary::Result<RecipeDatabase> RecipeDatabase::LoadCsv(
       LoadCsvImpl(path, registry,
                   /*csv_policy=*/robustness::ErrorPolicy::kStrict,
                   /*row_policy=*/robustness::ErrorPolicy::kSkipAndReport,
-                  /*sink=*/nullptr, robustness::RetryPolicy::None(),
-                  &report));
+                  /*sink=*/nullptr, &report));
   if (skipped_rows != nullptr) *skipped_rows = report.rows_quarantined;
   return db;
 }
@@ -246,8 +244,7 @@ culinary::Result<RecipeDatabase> RecipeDatabase::LoadCsv(
     const std::string& path, const flavor::FlavorRegistry* registry,
     const IngestOptions& options, IngestReport* report) {
   return LoadCsvImpl(path, registry, options.error_policy,
-                     options.error_policy, options.error_sink, options.retry,
-                     report);
+                     options.error_policy, options.error_sink, report);
 }
 
 }  // namespace culinary::recipe

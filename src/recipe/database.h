@@ -13,7 +13,6 @@
 #include "recipe/recipe.h"
 #include "recipe/region.h"
 #include "robustness/error_sink.h"
-#include "robustness/retry.h"
 
 namespace culinary::recipe {
 
@@ -27,8 +26,6 @@ struct IngestOptions {
       robustness::ErrorPolicy::kSkipAndReport;
   /// Receives per-row diagnostics under the degraded policies (may be null).
   robustness::ErrorSink* error_sink = nullptr;
-  /// Retry schedule for transient IO failures.
-  robustness::RetryPolicy retry = robustness::RetryPolicy::None();
 };
 
 /// Accounting for one recipe-CSV ingestion: how much of the corpus

@@ -14,15 +14,13 @@ bool IsRetryable(const culinary::Status& status) {
 
 namespace internal {
 
-double BackoffMs(const RetryPolicy& policy, int attempt, culinary::Rng& rng) {
-  double base = policy.base_backoff_ms;
-  for (int i = 1; i < attempt && base < policy.max_backoff_ms; ++i) {
+double BackoffMs(int attempt, culinary::Rng& rng) {
+  double base = kRetryBaseBackoffMs;
+  for (int i = 1; i < attempt && base < kRetryMaxBackoffMs; ++i) {
     base *= 2.0;
   }
-  base = std::min(base, policy.max_backoff_ms);
-  double jitter = std::clamp(policy.jitter_fraction, 0.0, 1.0);
-  double factor = rng.NextDouble(1.0 - jitter, 1.0 + jitter);
-  return std::max(0.0, base * factor);
+  base = std::min(base, kRetryMaxBackoffMs);
+  return base * rng.NextDouble(1.0 - kRetryJitter, 1.0 + kRetryJitter);
 }
 
 void SleepForMs(double ms) {
@@ -33,15 +31,6 @@ void SleepForMs(double ms) {
 void NoteRetry(double backoff_ms) {
   CULINARY_OBS_COUNT("retry.attempts_retried", 1);
   CULINARY_OBS_OBSERVE("retry.backoff_ms", backoff_ms);
-}
-
-void NoteRetryBudgetExhausted() {
-  CULINARY_OBS_COUNT("retry.budget_exhausted", 1);
-}
-
-std::string RetryBudgetContext(int attempts) {
-  return "retry budget exhausted after " + std::to_string(attempts) +
-         " attempt(s)";
 }
 
 }  // namespace internal

@@ -53,11 +53,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const ServingSnapshot> snapshot,
     : published_(std::make_shared<const PublishedWorld>(
           PublishedWorld{std::move(snapshot), 1})),
       options_(options),
-      queue_capacity_(options.queue_capacity),
-      ewma_service_us_(options.initial_service_estimate_us),
-      ewma_batch_size_(options.initial_batch_size_estimate < 1.0
-                           ? 1.0
-                           : options.initial_batch_size_estimate) {
+      queue_capacity_(options.queue_capacity) {
   num_workers_ = options.num_threads == 0 ? 1 : options.num_threads;
   beats_.reserve(num_workers_);
   for (size_t i = 0; i < num_workers_; ++i) {
@@ -239,7 +235,6 @@ std::vector<Response> QueryEngine::ExecuteBatch(
 std::future<Response> QueryEngine::Submit(Request request) {
   PendingRequest item;
   item.request = std::move(request);
-  item.admitted_ms = SteadyNowMs();
   std::future<Response> future = item.promise.get_future();
 
   // Chaos hook for the admission path itself (delay or refuse at the door).
@@ -308,7 +303,6 @@ std::future<Response> QueryEngine::Submit(Request request) {
 
 void QueryEngine::WorkerLoop(size_t worker_index) {
   WorkerBeat& beat = *beats_[worker_index];
-  const size_t batch_max = options_.batch_max == 0 ? 1 : options_.batch_max;
   std::vector<PendingRequest> unit;
   for (;;) {
     unit.clear();
@@ -318,28 +312,16 @@ void QueryEngine::WorkerLoop(size_t worker_index) {
         return stopped_.load(std::memory_order_acquire) || !queue_.empty();
       });
       if (queue_.empty()) return;  // stopped and fully drained
-      unit.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      // Opportunistic coalescing: drain consecutive compatible requests —
-      // same endpoint, deadline not already burned by queue wait — into one
-      // unit of work. Draining stops at the first incompatible head (never
-      // skips past it), so completion order stays FIFO per endpoint and an
-      // expired-deadline request still gets its own evaluation, where it
-      // times out with the usual kDeadlineExceeded.
-      if (batch_max > 1) {
-        const Endpoint endpoint = unit.front().request.endpoint;
-        const int64_t now_ms = SteadyNowMs();
-        while (unit.size() < batch_max && !queue_.empty()) {
-          const PendingRequest& next = queue_.front();
-          if (next.request.endpoint != endpoint) break;
-          if (next.request.deadline_ms >= 0.0 &&
-              static_cast<double>(now_ms - next.admitted_ms) >
-                  next.request.deadline_ms) {
-            break;
-          }
-          unit.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
+      // Opportunistic coalescing: drain consecutive same-endpoint requests
+      // into one unit of work. Draining stops at the first other endpoint
+      // (never skips past it), so completion order stays FIFO per endpoint.
+      // Queue wait never times a request out: its deadline clock starts at
+      // evaluation (`MakeContext`).
+      const Endpoint endpoint = queue_.front().request.endpoint;
+      while (unit.size() < kBatchMax && !queue_.empty() &&
+             queue_.front().request.endpoint == endpoint) {
+        unit.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
       ++busy_workers_;
     }
@@ -363,17 +345,15 @@ void QueryEngine::WorkerLoop(size_t worker_index) {
 
 void QueryEngine::WatchdogLoop() {
   std::unique_lock<std::mutex> lock(watchdog_mu_);
-  const auto interval = std::chrono::duration<double, std::milli>(
-      options_.watchdog_interval_ms);
   for (;;) {
-    watchdog_cv_.wait_for(lock, interval, [this] { return watchdog_stop_; });
+    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(kWatchdogIntervalMs),
+                          [this] { return watchdog_stop_; });
     if (watchdog_stop_) return;
     const int64_t now_ms = SteadyNowMs();
     size_t stalled = 0;
     for (const auto& beat : beats_) {
       const int64_t since = beat->busy_since_ms.load(std::memory_order_acquire);
-      if (since >= 0 &&
-          static_cast<double>(now_ms - since) >= options_.stall_threshold_ms) {
+      if (since >= 0 && now_ms - since >= kStallThresholdMs) {
         ++stalled;
         if (!beat->flagged) {
           // Count each stall once per request: the flag clears when the

@@ -35,28 +35,11 @@ struct QueryEngineOptions {
   /// shed with `kUnavailable` instead of queueing without limit.
   size_t queue_capacity = 256;
 
-  /// Opportunistic coalescing: a worker that dequeues a request also drains
-  /// up to this many compatible waiting requests (same endpoint, deadline
-  /// not already exhausted by queue wait) into one unit of work, pinning the
-  /// snapshot once and evaluating them through the batched kernel. 0 or 1
-  /// disables coalescing.
-  size_t batch_max = 16;
-  /// Seed for the batch-size EWMA that scales the admission wait estimate
-  /// (see `Submit`); clamped to >= 1. Leave at 1 to start pessimistic and
-  /// learn the real coalescing factor from observed batches.
-  double initial_batch_size_estimate = 1.0;
-
-  /// Seed for the service-time EWMA behind deadline-aware admission (see
-  /// `Submit`), in microseconds; 0 = learn from the first observed unit of
-  /// work (no estimate-based shedding until then).
-  double initial_service_estimate_us = 0.0;
-
   /// Watchdog thread: flags a worker as stalled when one request has kept
-  /// it busy beyond `stall_threshold_ms` (counter `serving.worker_stalled`,
-  /// gauge `serving.stalled_workers`, `Stats::worker_stalls`).
+  /// it busy for `QueryEngine::kStallThresholdMs` (counter
+  /// `serving.worker_stalled`, gauge `serving.stalled_workers`,
+  /// `Stats::worker_stalls`).
   bool enable_watchdog = true;
-  double stall_threshold_ms = 1000.0;
-  double watchdog_interval_ms = 100.0;
 
   /// Optional SLO monitor: every evaluated request records (endpoint,
   /// latency, ok) into it, timestamped on a steady clock. Not owned; must
@@ -83,6 +66,16 @@ struct QueryEngineOptions {
 /// (their futures complete with real answers) before joining the workers.
 class QueryEngine {
  public:
+  /// Opportunistic coalescing bound: a worker that dequeues a request also
+  /// drains up to this many consecutive same-endpoint waiting requests into
+  /// one unit of work, pinning the snapshot once — the size of one wire
+  /// batch line.
+  static constexpr size_t kBatchMax = 16;
+  /// The watchdog wakes every `kWatchdogIntervalMs` and flags a worker busy
+  /// on one unit of work for at least `kStallThresholdMs`.
+  static constexpr int64_t kStallThresholdMs = 1000;
+  static constexpr int64_t kWatchdogIntervalMs = 100;
+
   /// Starts `options.num_threads` workers serving `snapshot` (non-null) as
   /// generation 1.
   explicit QueryEngine(std::shared_ptr<const ServingSnapshot> snapshot,
@@ -190,9 +183,6 @@ class QueryEngine {
   struct PendingRequest {
     Request request;
     std::promise<Response> promise;
-    /// Steady-clock ms at admission; lets a coalescing worker skip requests
-    /// whose deadline the queue wait has already burned.
-    int64_t admitted_ms = 0;
   };
 
   /// Per-worker heartbeat, read by the watchdog. Heap-allocated (one cache

@@ -140,7 +140,7 @@ struct SimilarResult {
   std::vector<std::pair<recipe::Region, double>> neighbors;
 };
 
-/// Nearest cuisines to `region` under the snapshot's similarity metric.
+/// Nearest cuisines to `region` by the snapshot's ingredient-Jaccard matrix.
 culinary::Result<SimilarResult> SimilarCuisines(
     const ServingSnapshot& snapshot, recipe::Region region, size_t k,
     const QueryContext& context = {});

@@ -79,8 +79,7 @@ culinary::Result<std::shared_ptr<const ServingSnapshot>> ServingSnapshot::Build(
         "serving snapshot needs a registry and a database");
   }
   CULINARY_OBS_SPAN(span, "serving.snapshot_build", "serving");
-  analysis::AnalysisOptions exec;
-  exec.num_threads = options.num_threads;
+  const analysis::AnalysisOptions exec{};  // every hardware thread
 
   auto snap = std::shared_ptr<ServingSnapshot>(new ServingSnapshot());
   snap->registry_ = std::move(registry);
@@ -88,7 +87,6 @@ culinary::Result<std::shared_ptr<const ServingSnapshot>> ServingSnapshot::Build(
   snap->world_cuisine_ =
       std::make_unique<recipe::Cuisine>(snap->database_->WorldCuisine());
   snap->cuisines_ = snap->database_->AllCuisines();
-  snap->similarity_metric_ = options.similarity_metric;
   snap->null_recipes_ = options.null_recipes;
 
   if (world_cache.has_value()) {
@@ -115,15 +113,14 @@ culinary::Result<std::shared_ptr<const ServingSnapshot>> ServingSnapshot::Build(
 
   culinary::Status similarity_status;
   snap->similarity_ = analysis::CuisineSimilarityMatrix(
-      snap->cuisines_, options.similarity_metric, exec, &similarity_status);
+      snap->cuisines_, analysis::CuisineSimilarity::kIngredientJaccard, exec,
+      &similarity_status);
   if (!similarity_status.ok()) return similarity_status;
 
   snap->baselines_.assign(snap->cuisines_.size(), {});
   if (options.null_recipes > 0) {
     analysis::NullModelOptions null_options;
     null_options.num_recipes = options.null_recipes;
-    null_options.seed = options.null_seed;
-    null_options.exec = exec;
     for (size_t i = 0; i < snap->cuisines_.size(); ++i) {
       const recipe::Cuisine& cuisine = snap->cuisines_[i];
       if (cuisine.num_pairable_recipes() == 0) continue;

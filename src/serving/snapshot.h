@@ -23,22 +23,17 @@
 namespace culinary::serving {
 
 /// Knobs for materializing a `ServingSnapshot` from a loaded world.
+///
+/// The build-time sweeps (pairing cache, per-region stats, similarity
+/// matrix, baselines) run on every hardware thread; build parallelism never
+/// changes the materialized values (the analysis determinism contract). The
+/// similarity matrix uses `analysis::CuisineSimilarity::kIngredientJaccard`
+/// and the null-model ensembles `NullModelOptions`'s default seed.
 struct ServingSnapshotOptions {
-  /// Worker threads for the build-time sweeps (pairing cache, per-region
-  /// stats, similarity matrix). 0 = hardware concurrency. Build parallelism
-  /// never changes the materialized values (the analysis determinism
-  /// contract), so snapshots built at different thread counts are
-  /// bit-identical.
-  size_t num_threads = 0;
   /// Randomized recipes per null model for the per-region baselines; 0
   /// skips baseline precomputation entirely (fast startup — fingerprint
   /// responses then simply omit z-scores).
   size_t null_recipes = 0;
-  /// Seed for the null-model ensembles (matches NullModelOptions's default).
-  uint64_t null_seed = 0xC0FFEE;
-  /// Metric precomputed into the cuisine-similarity matrix.
-  analysis::CuisineSimilarity similarity_metric =
-      analysis::CuisineSimilarity::kIngredientJaccard;
 };
 
 /// Everything a resident query engine needs to answer point queries, built
@@ -103,13 +98,9 @@ class ServingSnapshot {
 
   const analysis::CuisineClassifier& classifier() const { return *classifier_; }
 
-  /// Symmetric cuisine-similarity matrix over `cuisines()`, for
-  /// `options.similarity_metric`.
+  /// Symmetric ingredient-Jaccard similarity matrix over `cuisines()`.
   const std::vector<std::vector<double>>& similarity() const {
     return similarity_;
-  }
-  analysis::CuisineSimilarity similarity_metric() const {
-    return similarity_metric_;
   }
 
   /// Precomputed four-model null baselines for `cuisines()[i]`; empty when
@@ -131,8 +122,6 @@ class ServingSnapshot {
   std::vector<culinary::RunningStats> pairing_stats_;
   std::unique_ptr<analysis::CuisineClassifier> classifier_;
   std::vector<std::vector<double>> similarity_;
-  analysis::CuisineSimilarity similarity_metric_ =
-      analysis::CuisineSimilarity::kIngredientJaccard;
   std::vector<std::vector<analysis::FoodPairingResult>> baselines_;
   size_t null_recipes_ = 0;
 };

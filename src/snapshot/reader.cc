@@ -358,7 +358,7 @@ culinary::Result<LoadedWorld> LoadWorldSnapshot(
     CULINARY_ASSIGN_OR_RETURN(
         world.database, DecodeRecipes(payload, world.registry_ptr.get()));
   }
-  if (options.load_pairing && view.HasSection(SectionId::kPairing)) {
+  if (view.HasSection(SectionId::kPairing)) {
     CULINARY_ASSIGN_OR_RETURN(std::string_view payload,
                               view.Section(SectionId::kPairing));
     CULINARY_ASSIGN_OR_RETURN(analysis::PairingCache cache,

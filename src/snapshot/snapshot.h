@@ -139,9 +139,6 @@ struct SnapshotLoadOptions {
   /// When set, the snapshot's recorded digest must match or the load fails
   /// with kFailedPrecondition (stale snapshot).
   std::optional<uint64_t> expected_digest;
-  /// Materialize the pairing section into `LoadedWorld::world_cache` when
-  /// present. Disable for workloads that never score pairs.
-  bool load_pairing = true;
 };
 
 /// Loads a full world from a snapshot. Every corruption class returns a

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "robustness/fault_injector.h"
-#include "robustness/retry.h"
 
 namespace culinary::df {
 namespace {
@@ -289,7 +288,7 @@ TEST(CsvDegradedTest, StrictIsUnchangedByDefault) {
   EXPECT_FALSE(ReadCsvString("a,b\n1\n", options).ok());
 }
 
-// --- Fault injection and retry ----------------------------------------------
+// --- Fault injection --------------------------------------------------------
 
 class CsvFaultTest : public ::testing::Test {
  protected:
@@ -326,25 +325,6 @@ TEST_F(CsvFaultTest, FailNthReadPathIsDistinctFromOpen) {
   auto first = ReadCsvFile(path_);
   ASSERT_FALSE(first.ok());
   EXPECT_NE(first.status().message().find("csv.read"), std::string::npos);
-}
-
-TEST_F(CsvFaultTest, RetryRecoversFromTransientOpenFailure) {
-  robustness::ScopedFault fault(robustness::kFaultCsvOpen,
-                                robustness::FaultInjector::Plan::Nth(1));
-  auto t = ReadCsvFileRetry(path_, {}, robustness::RetryPolicy::Default());
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->num_rows(), 1u);
-}
-
-TEST_F(CsvFaultTest, RetryExhaustsAgainstPersistentFailure) {
-  robustness::ScopedFault fault(robustness::kFaultCsvOpen,
-                                robustness::FaultInjector::Plan::Always());
-  auto t = ReadCsvFileRetry(path_, {}, robustness::RetryPolicy::Default());
-  ASSERT_FALSE(t.ok());
-  EXPECT_TRUE(t.status().IsIOError());
-  EXPECT_EQ(robustness::FaultInjector::Global().CallCount(
-                robustness::kFaultCsvOpen),
-            3u);
 }
 
 // --- Crash-safe writes -------------------------------------------------------

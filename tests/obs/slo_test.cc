@@ -34,7 +34,7 @@ SloEndpointStatus Find(const std::vector<SloEndpointStatus>& statuses,
 
 TEST(SloMonitorTest, HealthyTrafficNeverAlerts) {
   SloMonitor slo;
-  slo.SetObjective({"score", 0.0, 0.999});
+  slo.SetObjective({"score", 0.0});
   RecordHealthyHour(slo, "score");
   const auto statuses = slo.Evaluate(3600);
   const SloEndpointStatus& score = Find(statuses, "score");
@@ -48,7 +48,7 @@ TEST(SloMonitorTest, HealthyTrafficNeverAlerts) {
 
 TEST(SloMonitorTest, FastWindowTripsBeforeSlowOnSharpOutage) {
   SloMonitor slo;
-  slo.SetObjective({"score", 0.0, 0.999});
+  slo.SetObjective({"score", 0.0});
   RecordHealthyHour(slo, "score");
 
   // Outage: 10 failures per second starting at t=3601.
@@ -85,15 +85,15 @@ TEST(SloMonitorTest, FastWindowTripsBeforeSlowOnSharpOutage) {
 
 TEST(SloMonitorTest, SlowRequestsBurnBudgetUnderLatencyObjective) {
   SloMonitor slo;
-  slo.SetObjective({"suggest", /*latency_threshold_us=*/1000.0, 0.99});
+  slo.SetObjective({"suggest", /*latency_threshold_us=*/1000.0});
   // Successful but slow: with a latency objective, "ok" responses over the
   // threshold still count against the budget.
   for (int i = 0; i < 10; ++i) slo.Record("suggest", 5000.0, true, 100);
   const SloEndpointStatus& s = Find(slo.Evaluate(100), "suggest");
   EXPECT_EQ(s.fast_total, 10u);
   EXPECT_EQ(s.fast_bad, 10u);
-  // All-bad traffic: burn = 1 / 0.01 budget = 100.
-  EXPECT_NEAR(s.fast_burn, 100.0, 1e-9);
+  // All-bad traffic: burn = 1 / 0.001 budget = 1000.
+  EXPECT_NEAR(s.fast_burn, 1000.0, 1e-9);
   EXPECT_TRUE(s.fast_alert);
 }
 
@@ -108,7 +108,7 @@ TEST(SloMonitorTest, UndeclaredEndpointGetsDefaultObjective) {
 
 TEST(SloMonitorTest, BucketsOutsideSlowWindowArePruned) {
   SloMonitor slo;
-  slo.SetObjective({"score", 0.0, 0.999});
+  slo.SetObjective({"score", 0.0});
   for (int i = 0; i < 50; ++i) slo.Record("score", 10.0, false, 10);
   // One slow-window later the old failures must have aged out entirely.
   slo.Record("score", 10.0, true, 10 + 3601);
@@ -123,7 +123,7 @@ TEST(SloMonitorTest, ExportGaugesMirrorsBurnRates) {
   const bool was_enabled = Enabled();
   SetEnabled(true);
   SloMonitor slo;
-  slo.SetObjective({"ping", 0.0, 0.999});
+  slo.SetObjective({"ping", 0.0});
   // An hour of good history keeps the slow window under its threshold, so
   // the burst of failures trips the fast window only — no page.
   RecordHealthyHour(slo, "ping");
@@ -144,7 +144,7 @@ TEST(SloMonitorTest, ExportGaugesMirrorsBurnRates) {
 
 TEST(SloMonitorTest, ToJsonCarriesConfigEndpointsAndAlertCount) {
   SloMonitor slo;
-  slo.SetObjective({"score", 250.0, 0.999});
+  slo.SetObjective({"score", 250.0});
   slo.Record("score", 100.0, true, 1);
   slo.Record("tab\tcr\rsoh\x01", 100.0, true, 1);
   const std::string json = slo.ToJson(1);

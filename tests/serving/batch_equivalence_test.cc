@@ -131,9 +131,9 @@ TEST(BatchEquivalenceTest, BatchMatchesSequentialExecute) {
       EXPECT_EQ(stats.shed, 0u);
       EXPECT_EQ(stats.executed, 3 * kRequests);
 
-      // Concurrent clients, each sending ExecuteBatch chunks of 16 (the
-      // engine's batch_max, the size of one wire batch line).
-      constexpr size_t kChunk = 16;
+      // Concurrent clients, each sending ExecuteBatch chunks of the
+      // engine's coalescing bound, the size of one wire batch line.
+      constexpr size_t kChunk = QueryEngine::kBatchMax;
       constexpr size_t kClients = 4;
       std::vector<std::string> chunked(requests.size());
       std::vector<std::thread> clients;

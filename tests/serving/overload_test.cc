@@ -1,9 +1,10 @@
 // Adaptive overload control and shutdown-race coverage for the query
-// engine: deadline-aware admission shedding, the watchdog's stalled-worker
-// detection, consistency of the Stats counters under concurrent load, and
-// the queue-full-shed-vs-Stop race. The hammer tests are written for tsan
-// (CULINARYLAB_SANITIZE=thread), where a torn counter read or an abandoned
-// promise is a hard failure.
+// engine: deadline-aware admission shedding (scaled by the observed batch
+// size), the watchdog's stalled-worker detection, coalescing of queued
+// runs, deadlines that start at evaluation, consistency of the Stats
+// counters under concurrent load, and the queue-full-shed-vs-Stop race.
+// The hammer tests are written for tsan (CULINARYLAB_SANITIZE=thread),
+// where a torn counter read or an abandoned promise is a hard failure.
 
 #include <atomic>
 #include <chrono>
@@ -43,14 +44,20 @@ Request Ping(double deadline_ms = -1.0) {
   return request;
 }
 
+/// Primes the service-time estimate at >= 100 ms: one direct `Execute`
+/// stalled 100 ms at the `serving.execute` site is the first unit of work
+/// the engine observes, and the EWMA starts at its wall time.
+void PrimeServiceEstimate(QueryEngine& engine) {
+  ScopedFault fault(robustness::kFaultServingExecute,
+                    FaultInjector::Plan::DelayMs(100.0));
+  EXPECT_TRUE(engine.Execute(Ping()).status.ok());
+}
+
 TEST(OverloadTest, DeadlineAwareShedWhenEstimatedWaitExceedsDeadline) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  // Prime the service-time estimate at 100 ms so admission math is fully
-  // deterministic: any request with a deadline below (queue+1)*100ms is
-  // shed at the door without ever racing the worker.
-  options.initial_service_estimate_us = 100000.0;
-  QueryEngine engine(BuildSmall(), options);
+  QueryEngine engine(BuildSmall(), QueryEngineOptions{.num_threads = 1});
+  // With the estimate at >= 100 ms, any request with a deadline below
+  // (queue+1)*100ms is shed at the door without ever racing the worker.
+  PrimeServiceEstimate(engine);
 
   // 1 ms deadline vs a 100 ms estimated wait: shed, with the deadline
   // subset counter moving in step.
@@ -76,21 +83,16 @@ TEST(OverloadTest, DeadlineAwareShedWhenEstimatedWaitExceedsDeadline) {
 }
 
 TEST(OverloadTest, WatchdogFlagsStalledWorker) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.stall_threshold_ms = 30.0;
-  options.watchdog_interval_ms = 5.0;
-  QueryEngine engine(BuildSmall(), options);
+  QueryEngine engine(BuildSmall(), QueryEngineOptions{.num_threads = 1});
 
-  // A 150 ms injected delay inside Execute keeps the worker's heartbeat
-  // busy ~5x past the stall threshold; the watchdog must flag it exactly
-  // once for this request.
-  std::future<Response> slow;
+  // An injected delay 500 ms past the stall threshold keeps the worker's
+  // heartbeat busy beyond it for ~5 watchdog intervals; the watchdog must
+  // flag it exactly once for this request.
   {
     ScopedFault fault(robustness::kFaultServingExecute,
-                      FaultInjector::Plan::DelayMs(150.0));
-    slow = engine.Submit(Ping());
-    EXPECT_TRUE(slow.get().status.ok());
+                      FaultInjector::Plan::DelayMs(
+                          QueryEngine::kStallThresholdMs + 500.0));
+    EXPECT_TRUE(engine.Submit(Ping()).get().status.ok());
   }
   // The watchdog observes the stall while the worker is busy, so by the
   // time the future resolved the counter is already in; poll briefly to
@@ -102,11 +104,13 @@ TEST(OverloadTest, WatchdogFlagsStalledWorker) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  EXPECT_GE(stalls, 1u);
+  EXPECT_EQ(stalls, 1u);
 
-  // A fast follow-up request must not be flagged: the count stays put.
+  // A fast follow-up request must not be flagged: the count stays put
+  // across two more watchdog passes.
   EXPECT_TRUE(engine.Submit(Ping()).get().status.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(2 * QueryEngine::kWatchdogIntervalMs + 50));
   EXPECT_EQ(engine.stats().worker_stalls, stalls);
   engine.Stop();
 }
@@ -116,10 +120,8 @@ TEST(OverloadTest, WatchdogFlagsStalledWorker) {
 // one Submit critical section, deadline first). Under tsan this test also
 // proves the counters are data-race-free.
 TEST(OverloadTest, StatsSnapshotIsConsistentUnderConcurrentShedding) {
-  QueryEngineOptions options;
-  options.num_threads = 2;
-  options.initial_service_estimate_us = 100000.0;
-  QueryEngine engine(BuildSmall(), options);
+  QueryEngine engine(BuildSmall(), QueryEngineOptions{.num_threads = 2});
+  PrimeServiceEstimate(engine);
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> violations{0};
@@ -194,31 +196,65 @@ TEST(OverloadTest, QueueFullShedRacingStopResolvesEveryFuture) {
   }
 }
 
-// Tentpole satellite: the admission estimate divides by the observed batch
-// size. Two engines with the same 100 ms per-unit service estimate and the
-// same 50 ms deadline — the one primed with a batch-size estimate of 10
-// expects ~10 ms of queue wait per request and admits, the batch-naive one
-// expects 100 ms and sheds at the door. Same math as
+// The admission estimate divides by the observed batch size. One engine,
+// one worker, a ~100 ms per-unit service estimate throughout: while every
+// unit it has observed held one request, a 90 ms deadline (under the
+// >= 100 ms estimated wait) is shed at the door. After one 100 ms unit of
+// `kBatchMax` requests — the unit a coalescing worker runs — the batch
+// estimate is 1 + 0.2 * 15 = 4, the same deadline expects ~25 ms of queue
+// wait, and the request is admitted. Same math as
 // DeadlineAwareShedWhenEstimatedWaitExceedsDeadline, third factor pinned.
 TEST(OverloadTest, BatchEstimateScalesAdmissionWaitEstimate) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.initial_service_estimate_us = 100000.0;
-  options.initial_batch_size_estimate = 10.0;
-  QueryEngine batch_aware(BuildSmall(), options);
-  // The seed is pinned verbatim until a real unit of work is observed.
-  EXPECT_DOUBLE_EQ(batch_aware.admission_batch_estimate(), 10.0);
-  Response admitted = batch_aware.Submit(Ping(/*deadline_ms=*/50.0)).get();
-  EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
-  EXPECT_EQ(batch_aware.stats().deadline_shed, 0u);
-  batch_aware.Stop();
-
-  options.initial_batch_size_estimate = 1.0;
-  QueryEngine batch_naive(BuildSmall(), options);
-  Response shed = batch_naive.Submit(Ping(/*deadline_ms=*/50.0)).get();
+  QueryEngine engine(BuildSmall(), QueryEngineOptions{.num_threads = 1});
+  PrimeServiceEstimate(engine);
+  EXPECT_DOUBLE_EQ(engine.admission_batch_estimate(), 1.0);
+  Response shed = engine.Submit(Ping(/*deadline_ms=*/90.0)).get();
   EXPECT_TRUE(shed.status.IsUnavailable()) << shed.status.ToString();
-  EXPECT_EQ(batch_naive.stats().deadline_shed, 1u);
-  batch_naive.Stop();
+  EXPECT_EQ(engine.stats().deadline_shed, 1u);
+
+  {
+    ScopedFault fault(robustness::kFaultServingExecute,
+                      FaultInjector::Plan::DelayMs(100.0));
+    const std::vector<Request> unit(QueryEngine::kBatchMax, Ping());
+    for (const Response& response : engine.ExecuteBatch(unit)) {
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    }
+  }
+  EXPECT_DOUBLE_EQ(engine.admission_batch_estimate(), 4.0);
+  Response admitted = engine.Submit(Ping(/*deadline_ms=*/90.0)).get();
+  EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
+  EXPECT_EQ(engine.stats().deadline_shed, 1u);
+  engine.Stop();
+}
+
+// A request's deadline clock starts when its evaluation starts
+// (`MakeContext`), not at admission: a score request with a 50 ms deadline
+// that waits ~150 ms behind a stalled worker is answered normally.
+TEST(OverloadTest, QueueWaitDoesNotBurnTheDeadline) {
+  auto snapshot = BuildSmall();
+  QueryEngine engine(snapshot, QueryEngineOptions{.num_threads = 1});
+  Request score;
+  score.endpoint = Endpoint::kScore;
+  score.ingredient_ids = snapshot->db().recipes().front().ingredients;
+  score.deadline_ms = 50.0;
+
+  std::future<Response> stalled;
+  std::future<Response> queued;
+  {
+    ScopedFault fault(robustness::kFaultServingExecute,
+                      FaultInjector::Plan::DelayMs(200.0));
+    stalled = engine.Submit(Ping());
+    // Give the worker time to pick the ping up alone, so the score queues
+    // behind a busy worker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    queued = engine.Submit(score);
+  }
+  EXPECT_TRUE(stalled.get().status.ok());
+  const Response answer = queued.get();
+  EXPECT_TRUE(answer.status.ok()) << answer.status.ToString();
+  EXPECT_EQ(answer.endpoint, Endpoint::kScore);
+  EXPECT_EQ(engine.stats().deadline_shed, 0u);
+  engine.Stop();
 }
 
 // Tentpole: a worker that finds a same-endpoint run waiting coalesces it
@@ -226,12 +262,9 @@ TEST(OverloadTest, BatchEstimateScalesAdmissionWaitEstimate) {
 // factor from what actually happened. One worker is pinned inside a slow
 // first request; seven pings pile up behind it and must retire as (at most
 // two) coalesced batches, moving `coalesced` by at least 6 and pulling the
-// admission batch estimate above its pessimistic seed of 1.
+// admission batch estimate above its pessimistic start of 1.
 TEST(OverloadTest, WorkersCoalesceQueuedRunsAndLearnBatchSize) {
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.batch_max = 8;
-  QueryEngine engine(BuildSmall(), options);
+  QueryEngine engine(BuildSmall(), QueryEngineOptions{.num_threads = 1});
 
   std::vector<std::future<Response>> futures;
   {
@@ -250,8 +283,8 @@ TEST(OverloadTest, WorkersCoalesceQueuedRunsAndLearnBatchSize) {
   const QueryEngine::Stats stats = engine.stats();
   EXPECT_EQ(stats.executed, 8u);
   // However the pickup raced, 8 same-endpoint requests through a briefly
-  // blocked single worker retire in at most 3 units given batch_max=8 —
-  // at least 6 of them rode along coalesced.
+  // blocked single worker retire in at most 3 units given the coalescing
+  // bound of 16 — at least 6 of them rode along coalesced.
   EXPECT_GE(stats.coalesced, 6u);
   EXPECT_LE(stats.batches, 3u);
   EXPECT_GT(engine.admission_batch_estimate(), 1.0);

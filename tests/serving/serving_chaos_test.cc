@@ -132,8 +132,6 @@ TEST(ServingChaosTest, FailedReloadDegradesAndServesLastGoodSnapshot) {
 
   ReloadManager::Options options;
   options.retry.max_attempts = 2;
-  options.retry.base_backoff_ms = 0.0;
-  options.retry.max_backoff_ms = 0.0;
   ReloadManager reloads(&engine, options);
   {
     ScopedFault fault(robustness::kFaultServingReload,
@@ -160,8 +158,6 @@ TEST(ServingChaosTest, TransientLoadFailureIsRetriedToSuccess) {
   QueryEngine engine(snapshot, QueryEngineOptions{.num_threads = 1});
   ReloadManager::Options options;
   options.retry.max_attempts = 3;
-  options.retry.base_backoff_ms = 0.0;
-  options.retry.max_backoff_ms = 0.0;
   ReloadManager reloads(&engine, options);
 
   // The fault fires on the first build attempt only; the retry loop must

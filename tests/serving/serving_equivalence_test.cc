@@ -152,7 +152,7 @@ TEST(ServingEquivalenceTest, EndpointsMatchBatchPathAcrossSeeds) {
       auto served = SimilarCuisines(snapshot, cuisines[i].region(), 4);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       auto batch_neighbors = analysis::NearestCuisines(
-          cuisines, i, 4, snapshot.similarity_metric());
+          cuisines, i, 4, analysis::CuisineSimilarity::kIngredientJaccard);
       ASSERT_TRUE(batch_neighbors.ok()) << batch_neighbors.status().ToString();
       ASSERT_EQ(served->neighbors.size(), batch_neighbors->size());
       for (size_t j = 0; j < batch_neighbors->size(); ++j) {

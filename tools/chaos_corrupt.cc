@@ -15,8 +15,12 @@
 //          [--no-dup] [--no-oversize] [--no-ragged] [--corrupt-header]
 //          [--snapshot-mode=MODE]
 //
-// Prints the applied mutation to stderr and exits nonzero on IO failure.
+// Prints the applied mutation to stderr. Exits 1 on IO failure and 2 on a
+// usage error: an unknown flag, or a --rate outside [0, 1] or a --seed that
+// is not a whole unsigned decimal.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +43,34 @@ void PrintUsage() {
       "truncate-mid-section|bitflip-payload|wrong-digest]\n");
 }
 
+int UsageError(const char* what, const std::string& arg) {
+  std::fprintf(stderr, "%s: %s\n", what, arg.c_str());
+  PrintUsage();
+  return 2;
+}
+
+/// Strict parses: the whole value must be consumed, so a typo is a usage
+/// error rather than strtod/strtoull's "0 on garbage".
+bool ParseRate(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  if (!(parsed >= 0.0 && parsed <= 1.0)) return false;  // NaN fails too
+  *out = parsed;
+  return true;
+}
+
+bool ParseSeed(const char* text, uint64_t* out) {
+  if (*text == '\0' || *text == '-') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = parsed;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -59,9 +91,13 @@ int main(int argc, char** argv) {
     if (StartsWith(a, "--snapshot-mode=")) {
       snapshot_mode = a.substr(strlen("--snapshot-mode="));
     } else if (StartsWith(a, "--rate=")) {
-      options.corruption_rate = std::strtod(a.c_str() + strlen("--rate="), nullptr);
+      if (!ParseRate(a.c_str() + strlen("--rate="), &options.corruption_rate)) {
+        return UsageError("bad value", a);
+      }
     } else if (StartsWith(a, "--seed=")) {
-      options.seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
+      if (!ParseSeed(a.c_str() + strlen("--seed="), &options.seed)) {
+        return UsageError("bad value", a);
+      }
     } else if (a == "--no-truncate") {
       options.enable_truncation = false;
     } else if (a == "--no-quote") {
@@ -77,9 +113,7 @@ int main(int argc, char** argv) {
     } else if (a == "--corrupt-header") {
       options.preserve_header = false;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      PrintUsage();
-      return 2;
+      return UsageError("unknown flag", a);
     }
   }
 

@@ -21,10 +21,9 @@
 //   --seed=N           reseed the synthetic world (0 = spec default)
 //   --threads=N        worker threads draining the admission queue (4)
 //   --queue-cap=N      admission-queue bound; overflow is shed with
-//                      Unavailable rather than queued without limit (256)
-//   --batch-max=N      opportunistic coalescing bound: a worker drains up
-//                      to N same-endpoint waiting requests into one
-//                      shared-snapshot sweep (16; 1 disables)
+//                      Unavailable rather than queued without limit (256).
+//                      A worker drains up to 16 same-endpoint waiting
+//                      requests into one shared-snapshot sweep
 //   --null-recipes=N   precompute per-cuisine null-model baselines with N
 //                      randomized recipes each (0 = skip; fast startup)
 //
@@ -111,7 +110,6 @@ struct ServeArgs {
   std::string snapshot_in;
   size_t threads = 4;
   size_t queue_cap = 256;
-  size_t batch_max = 16;
   size_t null_recipes = 0;
   int reload_retries = 3;
   int breaker_threshold = 3;
@@ -175,9 +173,6 @@ ServeArgs ParseArgs(int argc, char** argv) {
     } else if (key == "--queue-cap") {
       if (!ParseUint64Value(value, &number)) args.usage_error = true;
       args.queue_cap = static_cast<size_t>(number);
-    } else if (key == "--batch-max") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.batch_max = static_cast<size_t>(number);
     } else if (key == "--null-recipes") {
       if (!ParseUint64Value(value, &number)) args.usage_error = true;
       args.null_recipes = static_cast<size_t>(number);
@@ -295,7 +290,6 @@ int Serve(const ServeArgs& args, std::istream& in) {
   serving::QueryEngineOptions engine_options;
   engine_options.num_threads = args.threads;
   engine_options.queue_capacity = args.queue_cap;
-  engine_options.batch_max = args.batch_max;
   if (args.slo) {
     for (const char* name :
          {"ping", "score", "suggest", "fingerprint", "similar"}) {
