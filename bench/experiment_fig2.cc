@@ -9,9 +9,9 @@
 // Indian Subcontinent, Africa, Middle East and Caribbean are
 // spice-predominant.
 //
-// The pipeline runs on the dataframe expression engine: every
-// recipe–ingredient use becomes a (region, category) row, and each region's
-// composition is one fused filter→group-by→count
+// The pipeline runs on the dataframe layer: every recipe–ingredient use
+// becomes a (region, category) row, and each region's composition is one
+// fused filter→group-by→count
 // (`GroupByAggregateWhere(uses, "category", Count, region == R)`) with no
 // intermediate filtered table. Every share is cross-checked against the
 // direct `analysis::CategoryComposition` loop; any disagreement fails the
@@ -29,7 +29,7 @@
 #include "analysis/composition.h"
 #include "analysis/report.h"
 #include "common/string_util.h"
-#include "dataframe/expr.h"
+#include "dataframe/aggregate.h"
 #include "datagen/world.h"
 
 namespace {
@@ -100,13 +100,12 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[fig2] uses table: %zu rows\n", uses.num_rows());
 
   // Per-label composition via one fused filter+group-by+count.
-  const df::ExecOptions exec{/*num_threads=*/0};
   auto composition_of =
       [&](const std::string& label) -> std::array<double, flavor::kNumCategories> {
     std::array<double, flavor::kNumCategories> shares{};
     auto counts = df::GroupByAggregateWhere(
         uses, "category", {{df::AggKind::kCount, "", "uses"}},
-        df::Eq(df::Col("region"), df::Lit(label)), exec);
+        {"region", label});
     if (!counts.ok()) {
       std::fprintf(stderr, "fused group-by failed: %s\n",
                    counts.status().ToString().c_str());

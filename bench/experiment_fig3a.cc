@@ -5,8 +5,8 @@
 // thin-tailed with an average of nine ingredients per recipe, and the
 // shape is generic across cuisines.
 //
-// The per-region summary runs on the dataframe expression engine: recipes
-// flatten into one (region, size) table and each region's row is a fused
+// The per-region summary runs on the dataframe layer: recipes flatten into
+// one (region, size) table and each region's row is a fused
 // filter→aggregate (`AggregateWhere(recipes, Mean/Max, region == R)`) — no
 // intermediate filtered table. Means are cross-checked against
 // `Cuisine::MeanRecipeSize()` and maxima against the size histogram; any
@@ -14,6 +14,7 @@
 //
 // Usage: experiment_fig3a [--small] [--seed=S]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,7 +23,7 @@
 #include "analysis/composition.h"
 #include "analysis/report.h"
 #include "common/string_util.h"
-#include "dataframe/expr.h"
+#include "dataframe/aggregate.h"
 #include "datagen/world.h"
 
 int main(int argc, char** argv) {
@@ -86,10 +87,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[fig3a] recipes table: %zu rows\n",
                recipes.num_rows());
 
-  const df::ExecOptions exec{/*num_threads=*/0};
   auto aggregate = [&](df::AggKind kind, const std::string& code) {
-    auto v = df::AggregateWhere(recipes, kind, "size",
-                                df::Eq(df::Col("region"), df::Lit(code)), exec);
+    auto v = df::AggregateWhere(recipes, kind, "size", {"region", code});
     if (!v.ok() || v.value().is_null()) {
       std::fprintf(stderr, "fused aggregate failed for %s\n", code.c_str());
       std::exit(1);
@@ -112,9 +111,10 @@ int main(int argc, char** argv) {
                    code.c_str(), mean, expected_mean);
       return 1;
     }
-    if (static_cast<size_t>(mx) != cuisine.size_histogram().max_value()) {
-      std::fprintf(stderr, "MISMATCH %s max: engine %.17g vs histogram %zu\n",
-                   code.c_str(), mx, cuisine.size_histogram().max_value());
+    const int64_t expected_max = cuisine.size_histogram().max_value();
+    if (static_cast<int64_t>(mx) != expected_max) {
+      std::fprintf(stderr, "MISMATCH %s max: engine %.17g vs histogram %lld\n",
+                   code.c_str(), mx, static_cast<long long>(expected_max));
       return 1;
     }
     auto cdf = analysis::RecipeSizeCdf(cuisine);

@@ -25,9 +25,8 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "dataframe/aggregate.h"
 #include "dataframe/csv.h"
-#include "dataframe/expr.h"
-#include "dataframe/ops.h"
 #include "dataframe/table.h"
 #include "datagen/phrase_gen.h"
 #include "datagen/world.h"

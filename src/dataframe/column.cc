@@ -20,23 +20,6 @@ culinary::Status Int64Column::AppendValue(const Value& value) {
   return culinary::Status::OK();
 }
 
-ColumnPtr Int64Column::Take(const std::vector<size_t>& indices) const {
-  auto out = std::make_shared<Int64Column>();
-  out->Reserve(indices.size());
-  for (size_t i : indices) {
-    if (IsNull(i)) {
-      out->AppendNull();
-    } else {
-      out->Append(data_[i]);
-    }
-  }
-  return out;
-}
-
-ColumnPtr Int64Column::CloneEmpty() const {
-  return std::make_shared<Int64Column>();
-}
-
 Value DoubleColumn::GetValue(size_t i) const {
   if (IsNull(i)) return Value::Null();
   return Value::Real(data_[i]);
@@ -57,23 +40,6 @@ culinary::Status DoubleColumn::AppendValue(const Value& value) {
   }
   return culinary::Status::InvalidArgument(
       "expected double value, got " + value.ToString());
-}
-
-ColumnPtr DoubleColumn::Take(const std::vector<size_t>& indices) const {
-  auto out = std::make_shared<DoubleColumn>();
-  out->Reserve(indices.size());
-  for (size_t i : indices) {
-    if (IsNull(i)) {
-      out->AppendNull();
-    } else {
-      out->Append(data_[i]);
-    }
-  }
-  return out;
-}
-
-ColumnPtr DoubleColumn::CloneEmpty() const {
-  return std::make_shared<DoubleColumn>();
 }
 
 Value StringColumn::GetValue(size_t i) const {
@@ -106,36 +72,6 @@ void StringColumn::Append(std::string_view v) {
   }
   codes_.push_back(code);
   MarkValid();
-}
-
-ColumnPtr StringColumn::Take(const std::vector<size_t>& indices) const {
-  auto out = std::make_shared<StringColumn>();
-  out->Reserve(indices.size());
-  // Remap codes instead of re-hashing strings per row. The remap assigns
-  // dictionary slots in first-use order, which is exactly the dictionary an
-  // Append-per-row rebuild would produce — Take stays bit-identical to the
-  // eager path while skipping the hash probe on every gathered row.
-  std::vector<int32_t> remap(dict_.size(), -1);
-  for (size_t i : indices) {
-    if (IsNull(i)) {
-      out->AppendNull();
-      continue;
-    }
-    const int32_t code = codes_[i];
-    int32_t& mapped = remap[static_cast<size_t>(code)];
-    if (mapped < 0) {
-      mapped = static_cast<int32_t>(out->dict_.size());
-      out->dict_.emplace_back(dict_[static_cast<size_t>(code)]);
-      out->index_.emplace(out->dict_.back(), mapped);
-    }
-    out->codes_.push_back(mapped);
-    out->MarkValid();
-  }
-  return out;
-}
-
-ColumnPtr StringColumn::CloneEmpty() const {
-  return std::make_shared<StringColumn>();
 }
 
 ColumnPtr MakeColumn(DataType type) {

@@ -21,11 +21,10 @@ using ColumnPtr = std::shared_ptr<Column>;
 /// Abstract typed column with a packed validity bitmap.
 ///
 /// Columns are append-only during construction and immutable once shared
-/// inside a `Table` (operations produce new columns). Null handling: every
-/// column tracks per-row validity; `GetValue` returns `Value::Null()` for
-/// invalid rows. Validity is stored one bit per row (`culinary::Bitmap`) so
-/// the expression kernels can AND whole uint64 words of it into selection
-/// bitmaps and popcount null-skips instead of branching per row.
+/// inside a `Table`. Null handling: every column tracks per-row validity;
+/// `GetValue` returns `Value::Null()` for invalid rows. Validity is stored
+/// one bit per row (`culinary::Bitmap`), which the aggregates in
+/// aggregate.h test word by word to skip null cells.
 class Column {
  public:
   virtual ~Column() = default;
@@ -45,8 +44,7 @@ class Column {
   /// True iff row `i` is null.
   bool IsNull(size_t i) const { return !valid_.Test(i); }
 
-  /// Packed validity: bit `i` set iff row `i` is non-null. Kernels borrow
-  /// `validity().words()` for word-at-a-time null skipping.
+  /// Packed validity: bit `i` set iff row `i` is non-null.
   const culinary::Bitmap& validity() const { return valid_; }
 
   /// Dynamically typed accessor for row `i`.
@@ -69,13 +67,6 @@ class Column {
     valid_.Reserve(rows);
     ReserveStorage(rows);
   }
-
-  /// A new column with rows reordered / subset per `indices` (each index
-  /// must be < size()).
-  virtual ColumnPtr Take(const std::vector<size_t>& indices) const = 0;
-
-  /// A fresh empty column of the same type.
-  virtual ColumnPtr CloneEmpty() const = 0;
 
  protected:
   Column() = default;
@@ -101,8 +92,6 @@ class Int64Column final : public Column {
   DataType type() const override { return DataType::kInt64; }
   Value GetValue(size_t i) const override;
   culinary::Status AppendValue(const Value& value) override;
-  ColumnPtr Take(const std::vector<size_t>& indices) const override;
-  ColumnPtr CloneEmpty() const override;
 
   /// Appends a non-null element.
   void Append(int64_t v) {
@@ -113,7 +102,7 @@ class Int64Column final : public Column {
   /// Raw accessor; undefined for null rows.
   int64_t at(size_t i) const { return data_[i]; }
 
-  /// Contiguous value storage (null rows hold 0). For kernels.
+  /// Contiguous value storage (null rows hold 0).
   const int64_t* data() const { return data_.data(); }
 
  private:
@@ -131,8 +120,6 @@ class DoubleColumn final : public Column {
   DataType type() const override { return DataType::kDouble; }
   Value GetValue(size_t i) const override;
   culinary::Status AppendValue(const Value& value) override;
-  ColumnPtr Take(const std::vector<size_t>& indices) const override;
-  ColumnPtr CloneEmpty() const override;
 
   void Append(double v) {
     data_.push_back(v);
@@ -141,7 +128,7 @@ class DoubleColumn final : public Column {
 
   double at(size_t i) const { return data_[i]; }
 
-  /// Contiguous value storage (null rows hold 0.0). For kernels.
+  /// Contiguous value storage (null rows hold 0.0).
   const double* data() const { return data_.data(); }
 
  private:
@@ -164,8 +151,6 @@ class StringColumn final : public Column {
   DataType type() const override { return DataType::kString; }
   Value GetValue(size_t i) const override;
   culinary::Status AppendValue(const Value& value) override;
-  ColumnPtr Take(const std::vector<size_t>& indices) const override;
-  ColumnPtr CloneEmpty() const override;
 
   void Append(std::string_view v);
 
@@ -179,9 +164,9 @@ class StringColumn final : public Column {
   /// Number of distinct strings seen.
   size_t dictionary_size() const { return dict_.size(); }
 
-  /// Contiguous per-row codes (null rows hold -1). For kernels: string
-  /// predicates resolve the literal to a code once via `FindCode` and then
-  /// compare int32s, never per-row strings.
+  /// Contiguous per-row codes (null rows hold -1). A filter resolves its
+  /// value to a code once via `FindCode` and then compares int32s, never
+  /// per-row strings.
   const int32_t* codes() const { return codes_.data(); }
 
   /// Dictionary string for `code` (must be < dictionary_size()).

@@ -1,9 +1,6 @@
 #include "dataframe/table.h"
 
-#include <algorithm>
 #include <unordered_set>
-
-#include "common/string_util.h"
 
 namespace culinary::df {
 
@@ -55,15 +52,6 @@ culinary::Result<Table> Table::Make(Schema schema,
   return Table(std::move(schema), std::move(columns));
 }
 
-culinary::Result<ColumnPtr> Table::ColumnByName(std::string_view name) const {
-  auto idx = schema_.FieldIndex(name);
-  if (!idx.has_value()) {
-    return culinary::Status::NotFound("no column named '" + std::string(name) +
-                                      "'");
-  }
-  return columns_[*idx];
-}
-
 culinary::Status Table::AppendRow(const std::vector<Value>& values) {
   if (values.size() != columns_.size()) {
     return culinary::Status::InvalidArgument(
@@ -104,54 +92,6 @@ culinary::Result<Value> Table::GetValueChecked(size_t row,
                                         " >= " + std::to_string(num_rows()));
   }
   return columns_[*idx]->GetValue(row);
-}
-
-culinary::Result<Table> Table::Take(const std::vector<size_t>& indices) const {
-  const size_t n = num_rows();
-  for (size_t i : indices) {
-    if (i >= n) {
-      return culinary::Status::OutOfRange("take index " + std::to_string(i) +
-                                          " >= " + std::to_string(n));
-    }
-  }
-  std::vector<ColumnPtr> out;
-  out.reserve(columns_.size());
-  for (const ColumnPtr& c : columns_) out.push_back(c->Take(indices));
-  return Table(schema_, std::move(out));
-}
-
-std::string Table::ToString(size_t max_rows) const {
-  const size_t rows = std::min(max_rows, num_rows());
-  std::vector<std::vector<std::string>> cells;
-  std::vector<size_t> widths(num_columns(), 0);
-  std::vector<std::string> header;
-  for (size_t c = 0; c < num_columns(); ++c) {
-    header.push_back(schema_.field(c).name);
-    widths[c] = header.back().size();
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<std::string> row;
-    for (size_t c = 0; c < num_columns(); ++c) {
-      row.push_back(GetValue(r, c).ToString());
-      widths[c] = std::max(widths[c], row.back().size());
-    }
-    cells.push_back(std::move(row));
-  }
-  std::string out;
-  for (size_t c = 0; c < num_columns(); ++c) {
-    out += culinary::PadRight(header[c], widths[c]);
-    out += (c + 1 < num_columns()) ? "  " : "\n";
-  }
-  for (const auto& row : cells) {
-    for (size_t c = 0; c < num_columns(); ++c) {
-      out += culinary::PadRight(row[c], widths[c]);
-      out += (c + 1 < num_columns()) ? "  " : "\n";
-    }
-  }
-  if (rows < num_rows()) {
-    out += "... (" + std::to_string(num_rows() - rows) + " more rows)\n";
-  }
-  return out;
 }
 
 }  // namespace culinary::df

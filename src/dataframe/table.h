@@ -17,7 +17,7 @@ namespace culinary::df {
 /// field. The in-process equivalent of a pandas DataFrame for this project.
 ///
 /// Tables are cheap to copy (columns are shared). Rows are appended through
-/// `AppendRow`; bulk transformations live in ops.h and produce new tables.
+/// `AppendRow`; aggregate.h reads them column-wise without copying rows.
 class Table {
  public:
   /// Creates an empty table (no columns, no rows).
@@ -38,10 +38,8 @@ class Table {
     return columns_.empty() ? 0 : columns_[0]->size();
   }
 
-  /// Column accessors. `column(i)` is bounds-unchecked; the name variant
-  /// returns NotFound for unknown names.
+  /// Column accessor; bounds-unchecked.
   const ColumnPtr& column(size_t i) const { return columns_[i]; }
-  culinary::Result<ColumnPtr> ColumnByName(std::string_view name) const;
 
   /// Appends one row given as dynamically typed values, one per field.
   culinary::Status AppendRow(const std::vector<Value>& values);
@@ -58,14 +56,6 @@ class Table {
   }
   culinary::Result<Value> GetValueChecked(size_t row,
                                           std::string_view column) const;
-
-  /// A new table containing the rows at `indices`, in that order. Indices
-  /// may repeat. Fails on out-of-range indices.
-  culinary::Result<Table> Take(const std::vector<size_t>& indices) const;
-
-  /// Renders up to `max_rows` rows as an aligned text table (for debugging
-  /// and examples).
-  std::string ToString(size_t max_rows = 10) const;
 
  private:
   Table(Schema schema, std::vector<ColumnPtr> columns)

@@ -60,41 +60,6 @@ TEST(StringColumnTest, NullHandling) {
   EXPECT_EQ(col.null_count(), 1u);
 }
 
-TEST(TakeTest, ReordersAndRepeats) {
-  Int64Column col;
-  col.Append(10);
-  col.Append(20);
-  col.AppendNull();
-  ColumnPtr taken = col.Take({2, 0, 0, 1});
-  ASSERT_EQ(taken->size(), 4u);
-  EXPECT_TRUE(taken->IsNull(0));
-  EXPECT_EQ(taken->GetValue(1), Value::Int(10));
-  EXPECT_EQ(taken->GetValue(2), Value::Int(10));
-  EXPECT_EQ(taken->GetValue(3), Value::Int(20));
-}
-
-TEST(TakeTest, StringTakePreservesValues) {
-  StringColumn col;
-  col.Append("a");
-  col.Append("b");
-  ColumnPtr taken = col.Take({1, 0});
-  EXPECT_EQ(taken->GetValue(0), Value::Str("b"));
-  EXPECT_EQ(taken->GetValue(1), Value::Str("a"));
-}
-
-TEST(TakeTest, EmptyIndices) {
-  DoubleColumn col;
-  col.Append(1.0);
-  EXPECT_EQ(col.Take({})->size(), 0u);
-}
-
-TEST(CloneEmptyTest, PreservesType) {
-  EXPECT_EQ(Int64Column().CloneEmpty()->type(), DataType::kInt64);
-  EXPECT_EQ(DoubleColumn().CloneEmpty()->type(), DataType::kDouble);
-  EXPECT_EQ(StringColumn().CloneEmpty()->type(), DataType::kString);
-  EXPECT_EQ(Int64Column().CloneEmpty()->size(), 0u);
-}
-
 TEST(MakeColumnTest, CreatesMatchingType) {
   EXPECT_EQ(MakeColumn(DataType::kInt64)->type(), DataType::kInt64);
   EXPECT_EQ(MakeColumn(DataType::kDouble)->type(), DataType::kDouble);

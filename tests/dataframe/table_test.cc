@@ -87,14 +87,6 @@ TEST(TableTest, AppendRowWidensIntToDouble) {
   EXPECT_EQ(t.GetValue(2, 2), Value::Real(7.0));
 }
 
-TEST(TableTest, ColumnByName) {
-  Table t = MakeSample();
-  auto col = t.ColumnByName("count");
-  ASSERT_TRUE(col.ok());
-  EXPECT_EQ((*col)->type(), DataType::kInt64);
-  EXPECT_TRUE(t.ColumnByName("missing").status().IsNotFound());
-}
-
 TEST(TableTest, GetValueChecked) {
   Table t = MakeSample();
   auto v = t.GetValueChecked(0, "score");
@@ -102,29 +94,6 @@ TEST(TableTest, GetValueChecked) {
   EXPECT_EQ(*v, Value::Real(0.5));
   EXPECT_TRUE(t.GetValueChecked(9, "score").status().IsOutOfRange());
   EXPECT_TRUE(t.GetValueChecked(0, "zzz").status().IsNotFound());
-}
-
-TEST(TableTest, TakeSubsetsRows) {
-  Table t = MakeSample();
-  auto taken = t.Take({1});
-  ASSERT_TRUE(taken.ok());
-  EXPECT_EQ(taken->num_rows(), 1u);
-  EXPECT_EQ(taken->GetValue(0, 0), Value::Str("b"));
-  EXPECT_TRUE(t.Take({5}).status().IsOutOfRange());
-}
-
-TEST(TableTest, ToStringRendersHeaderAndRows) {
-  Table t = MakeSample();
-  std::string s = t.ToString();
-  EXPECT_NE(s.find("name"), std::string::npos);
-  EXPECT_NE(s.find("count"), std::string::npos);
-  EXPECT_NE(s.find("a"), std::string::npos);
-}
-
-TEST(TableTest, ToStringTruncates) {
-  Table t = MakeSample();
-  std::string s = t.ToString(1);
-  EXPECT_NE(s.find("1 more rows"), std::string::npos);
 }
 
 TEST(TableTest, SharedColumnsAreCheap) {

@@ -12,7 +12,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "dataframe/csv.h"
-#include "dataframe/ops.h"
+#include "dataframe/aggregate.h"
 #include "flavor/registry.h"
 #include "recipe/parser.h"
 #include "text/edit_distance.h"
@@ -233,20 +233,25 @@ TEST(PairingCacheFuzzTest, DenseAndIdLookupsAgree) {
 TEST(GroupByFuzzTest, CountsSumToTableRows) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    df::Schema schema({{"k", df::DataType::kInt64},
-                       {"v", df::DataType::kDouble}});
+    df::Schema schema({{"k", df::DataType::kString},
+                       {"v", df::DataType::kDouble},
+                       {"all", df::DataType::kString}});
     auto table = df::Table::Make(schema);
     size_t rows = 1 + rng.NextBounded(200);
+    double expected = 0.0;
     for (size_t r = 0; r < rows; ++r) {
+      const double v = rng.NextDouble();
+      expected += v;
       ASSERT_TRUE(table
-                      ->AppendRow({df::Value::Int(static_cast<int64_t>(
-                                       rng.NextBounded(7))),
-                                   df::Value::Real(rng.NextDouble())})
+                      ->AppendRow({df::Value::Str("k" + std::to_string(
+                                                            rng.NextBounded(7))),
+                                   df::Value::Real(v), df::Value::Str("y")})
                       .ok());
     }
-    auto grouped = df::GroupByAggregate(*table, {"k"},
-                                        {{df::AggKind::kCount, "", "n"},
-                                         {df::AggKind::kSum, "v", "s"}});
+    auto grouped = df::GroupByAggregateWhere(
+        *table, "k",
+        {{df::AggKind::kCount, "", "n"}, {df::AggKind::kSum, "v", "s"}},
+        {"all", "y"});
     ASSERT_TRUE(grouped.ok());
     int64_t total = 0;
     double sum = 0.0;
@@ -256,37 +261,7 @@ TEST(GroupByFuzzTest, CountsSumToTableRows) {
     }
     EXPECT_EQ(total, static_cast<int64_t>(rows)) << "seed " << seed;
     // Sum of group sums equals the overall sum.
-    auto all = df::ToDoubleVector(*table, "v");
-    ASSERT_TRUE(all.ok());
-    double expected = 0;
-    for (double v : *all) expected += v;
     EXPECT_NEAR(sum, expected, 1e-9) << "seed " << seed;
-  }
-}
-
-TEST(SortFuzzTest, ProducesSortedPermutation) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    df::Schema schema({{"x", df::DataType::kInt64}});
-    auto table = df::Table::Make(schema);
-    size_t rows = rng.NextBounded(100);
-    std::multiset<int64_t> original;
-    for (size_t r = 0; r < rows; ++r) {
-      int64_t v = rng.NextInt(-50, 50);
-      original.insert(v);
-      ASSERT_TRUE(table->AppendRow({df::Value::Int(v)}).ok());
-    }
-    auto sorted = df::SortBy(*table, {{"x", true}});
-    ASSERT_TRUE(sorted.ok());
-    std::multiset<int64_t> result;
-    int64_t prev = INT64_MIN;
-    for (size_t r = 0; r < sorted->num_rows(); ++r) {
-      int64_t v = sorted->GetValue(r, 0).as_int();
-      EXPECT_GE(v, prev);
-      prev = v;
-      result.insert(v);
-    }
-    EXPECT_EQ(result, original) << "seed " << seed;
   }
 }
 

@@ -79,48 +79,5 @@ TEST(UmbrellaTest, ObservabilityShardsMergeUnderConcurrency) {
   EXPECT_EQ(snap.max, 1.5);
 }
 
-TEST(UmbrellaTest, ExpressionEngineParallelBlocksStayDeterministic) {
-  // Drives the lazy expression engine across many 4096-row blocks with a
-  // worker pool, so the block-parallel mask path runs under the sanitizer
-  // presets (and, as umbrella_test_obs, with the obs counters live). The
-  // parallel result must be bit-identical to the serial one.
-  auto table = df::Table::Make(df::Schema(
-      {{"label", df::DataType::kString}, {"value", df::DataType::kInt64}}));
-  ASSERT_TRUE(table.ok());
-  Rng rng(99);
-  constexpr size_t kRows = 20000;
-  table->Reserve(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(
-        table
-            ->AppendRow({rng.NextBounded(8) == 0
-                             ? df::Value::Null()
-                             : df::Value::Str("L" + std::to_string(
-                                                        rng.NextBounded(10))),
-                         df::Value::Int(static_cast<int64_t>(
-                             rng.NextBounded(1000)))})
-            .ok());
-  }
-  auto pred = df::And(df::Ne(df::Col("label"), df::Lit("L3")),
-                      df::Lt(df::Col("value"), df::Lit(750)));
-  auto serial = df::GroupByAggregateWhere(
-      *table, "label",
-      {{df::AggKind::kCount, "", "n"}, {df::AggKind::kMean, "value", "mean"}},
-      pred, df::ExecOptions{1});
-  auto parallel = df::GroupByAggregateWhere(
-      *table, "label",
-      {{df::AggKind::kCount, "", "n"}, {df::AggKind::kMean, "value", "mean"}},
-      pred, df::ExecOptions{8});
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(serial->num_rows(), parallel->num_rows());
-  for (size_t r = 0; r < serial->num_rows(); ++r) {
-    for (size_t c = 0; c < serial->num_columns(); ++c) {
-      EXPECT_EQ(serial->GetValue(r, c), parallel->GetValue(r, c))
-          << "cell (" << r << "," << c << ")";
-    }
-  }
-}
-
 }  // namespace
 }  // namespace culinary
