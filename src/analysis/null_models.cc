@@ -347,8 +347,9 @@ culinary::Result<FoodPairingResult> CompareWithRealMean(
     const PairingCache& cache, const recipe::Cuisine& cuisine,
     const flavor::FlavorRegistry& registry, NullModelKind kind,
     const NullModelOptions& options, double real_mean) {
-  if (options.num_recipes == 0) {
-    return culinary::Status::InvalidArgument("num_recipes must be positive");
+  // One null recipe has no spread: σ would be 0 and the Z-score 0.
+  if (options.num_recipes < 2) {
+    return culinary::Status::InvalidArgument("num_recipes must be at least 2");
   }
   CULINARY_ASSIGN_OR_RETURN(NullModelSampler sampler,
                             NullModelSampler::Make(kind, cuisine, registry));

@@ -74,7 +74,7 @@ struct EnsembleProgress {
 /// for any thread count — 1 thread simply runs the same blocks inline.
 struct NullModelOptions {
   /// Number of randomized recipes ("100,000 recipes were generated for the
-  /// random control and models").
+  /// random control and models"). At least 2, so σ is defined.
   size_t num_recipes = 100000;
   /// PRNG seed; fixed default for reproducible benches.
   uint64_t seed = 0xC0FFEE;

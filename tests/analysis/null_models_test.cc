@@ -250,13 +250,17 @@ TEST_F(NullModelsTest, SeedChangesStream) {
   EXPECT_NE(r1->null_mean, r2->null_mean);
 }
 
-TEST_F(NullModelsTest, ZeroRecipesRejected) {
-  NullModelOptions options;
-  options.num_recipes = 0;
-  EXPECT_TRUE(CompareAgainstNullModel(*cache_, *cuisine_, reg_,
-                                      NullModelKind::kRandom, options)
-                  .status()
-                  .IsInvalidArgument());
+TEST_F(NullModelsTest, FewerThanTwoRecipesRejected) {
+  // One null recipe has σ = 0, which would report Z = 0 for every region.
+  for (size_t num_recipes : {size_t{0}, size_t{1}}) {
+    NullModelOptions options;
+    options.num_recipes = num_recipes;
+    EXPECT_TRUE(CompareAgainstNullModel(*cache_, *cuisine_, reg_,
+                                        NullModelKind::kRandom, options)
+                    .status()
+                    .IsInvalidArgument())
+        << num_recipes;
+  }
 }
 
 TEST_F(NullModelsTest, AllModelsRun) {
