@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -420,16 +423,32 @@ std::string EscapeJson(std::string_view text) {
 
 namespace {
 
+/// The keys `ApplyRequestFields` reads.
+constexpr std::string_view kRequestKeys[] = {
+    "id", "op", "ingredients", "ids", "region", "k", "deadline_ms", "requests"};
+
 /// Applies the parsed fields of one (sub-)request object onto `wire`.
 /// `requests_out` receives the raw "requests" object array when non-null
 /// (top level); sub-requests pass null, so an unexpected object array there
 /// was already rejected by the parser. Unknown keys are ignored: the server
-/// stays forward-compatible with newer clients.
+/// stays forward-compatible with newer clients. A key it reads may appear
+/// once: a second "op" would otherwise win over the first and a second
+/// "ids" would extend it, so a repeat is InvalidArgument.
 culinary::Status ApplyRequestFields(
     const std::vector<JsonField>& fields, WireRequest* wire,
     const std::vector<std::vector<JsonField>>** requests_out) {
   bool saw_op = false;
+  uint32_t seen = 0;  // bit i: kRequestKeys[i] already applied
   for (const JsonField& field : fields) {
+    for (size_t i = 0; i < std::size(kRequestKeys); ++i) {
+      if (field.key != kRequestKeys[i]) continue;
+      if ((seen >> i) & 1) {
+        return culinary::Status::InvalidArgument("repeated key \"" +
+                                                 field.key + "\"");
+      }
+      seen |= uint32_t{1} << i;
+      break;
+    }
     const JsonValue& value = field.value;
     if (field.key == "id" && value.kind == JsonValue::Kind::kString) {
       wire->id = value.str;

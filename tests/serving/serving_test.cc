@@ -144,10 +144,28 @@ TEST(ProtocolTest, RejectsUnknownOpAndRegion) {
 }
 
 TEST(ProtocolTest, IgnoresUnknownKeys) {
-  auto parsed =
-      ParseRequestLine(R"({"op":"ping","trace_id":"abc","retries":3})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->request.endpoint, Endpoint::kPing);
+  for (const char* line :
+       {R"({"op":"ping","trace_id":"abc","retries":3})",
+        R"({"op":"ping","trace_id":"abc","trace_id":"def"})"}) {
+    auto parsed = ParseRequestLine(line);
+    ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->request.endpoint, Endpoint::kPing) << line;
+  }
+}
+
+TEST(ProtocolTest, RejectsRepeatedKeys) {
+  // A second "op" would win over the first and a second "ids" would extend
+  // the first, so a key the server reads may appear once per object, at the
+  // top level and inside a batch sub-request alike.
+  for (const char* line :
+       {R"({"op":"score","op":"suggest","ids":[1,2]})",
+        R"({"op":"score","ids":[1],"ids":[2]})",
+        R"({"op":"batch","requests":[{"op":"score","ids":[1,2]},)"
+        R"({"op":"score","ingredients":["a"],"ingredients":["b"]}]})"}) {
+    auto parsed = ParseRequestLine(line);
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << line << ": " << parsed.status().ToString();
+  }
 }
 
 TEST(ProtocolTest, EscapeJsonHandlesSpecials) {
