@@ -35,8 +35,7 @@ inline size_t CountTrailingZeros64(uint64_t x) {
 
 /// |a AND b| over two word runs of length `n`, with four independent
 /// accumulators so the loop pipelines / vectorizes. This is the innermost
-/// kernel of both the pairing triangle build and dataframe selection
-/// counting, so it lives here rather than being duplicated per caller.
+/// kernel of the pairing triangle build.
 inline size_t IntersectionPopCount(const uint64_t* a, const uint64_t* b,
                                    size_t n) {
   uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
@@ -54,7 +53,7 @@ inline size_t IntersectionPopCount(const uint64_t* a, const uint64_t* b,
 /// A growable bitset packed into uint64 words, least-significant bit first.
 ///
 /// The shared substrate behind `flavor::CompoundBitset` (molecule sets) and
-/// the dataframe layer's validity and selection bitmaps. Two invariants are
+/// the dataframe layer's validity and row bitmaps. Two invariants are
 /// maintained by every mutator and relied on by the word-at-a-time kernels:
 ///
 ///   1. `words().size() == WordsFor(num_bits())` exactly.
@@ -128,54 +127,14 @@ class Bitmap {
     return static_cast<size_t>(total);
   }
 
-  /// Number of set bits in [begin, end): word-at-a-time with edge masks.
-  size_t CountSetRange(size_t begin, size_t end) const {
-    if (begin >= end) return 0;
-    const size_t first_word = begin >> 6;
-    const size_t last_word = (end - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (begin & 63);
-    const uint64_t last_mask = ~uint64_t{0} >> (63 - ((end - 1) & 63));
-    if (first_word == last_word) {
-      return PopCount64(words_[first_word] & first_mask & last_mask);
-    }
-    uint64_t total = PopCount64(words_[first_word] & first_mask);
-    for (size_t w = first_word + 1; w < last_word; ++w) {
-      total += PopCount64(words_[w]);
-    }
-    total += PopCount64(words_[last_word] & last_mask);
-    return static_cast<size_t>(total);
-  }
-
-  /// In-place AND / OR with a same-size bitmap.
-  void AndWith(const Bitmap& other) {
-    for (size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
-  }
-  void OrWith(const Bitmap& other) {
-    for (size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-  }
-
-  /// In-place complement, re-zeroing the tail beyond num_bits().
-  void FlipAll() {
-    for (uint64_t& w : words_) w = ~w;
-    MaskTail();
-  }
-
   /// Calls `fn(i)` for every set bit in [begin, end), ascending. The loop
-  /// touches one word per 64 rows and one ctz per set bit — the idiom every
-  /// selection consumer uses.
+  /// touches one word per 64 bits and one ctz per set bit.
   template <typename Fn>
   void ForEachSetBit(size_t begin, size_t end, Fn&& fn) const {
-    ForEachSetBitInWords(words_.data(), begin, end, std::forward<Fn>(fn));
-  }
-
-  /// Same loop over a raw word run (for kernels holding borrowed words).
-  template <typename Fn>
-  static void ForEachSetBitInWords(const uint64_t* words, size_t begin,
-                                   size_t end, Fn&& fn) {
     if (begin >= end) return;
     size_t w = begin >> 6;
     const size_t last_word = (end - 1) >> 6;
-    uint64_t word = words[w] & (~uint64_t{0} << (begin & 63));
+    uint64_t word = words_[w] & (~uint64_t{0} << (begin & 63));
     for (;;) {
       if (w == last_word) word &= ~uint64_t{0} >> (63 - ((end - 1) & 63));
       while (word != 0) {
@@ -183,7 +142,7 @@ class Bitmap {
         word &= word - 1;  // clear lowest set bit
       }
       if (w == last_word) break;
-      word = words[++w];
+      word = words_[++w];
     }
   }
 

@@ -1,9 +1,8 @@
 // Property tests for the fused where-aggregates: on randomly generated
 // tables (all three column types, random nulls and dictionaries) and random
 // string filters, AggregateWhere and GroupByAggregateWhere must agree
-// bit-identically with a row-at-a-time reference and with the eager
-// filter → group-by pipeline they replace. Failures print the case seed
-// for replay.
+// bit-identically with a row-at-a-time reference and with an eager
+// filter → group-by pipeline. Failures print the case seed for replay.
 
 #include <algorithm>
 #include <cstdint>
@@ -23,9 +22,9 @@ namespace culinary::df {
 namespace {
 
 // --- Eager oracle ------------------------------------------------------------
-// The row-at-a-time operators the fused terminals replaced: materialize the
-// rows a predicate keeps, then group them through a hash map of encoded
-// keys, reading every cell as a boxed Value.
+// An implementation of the same semantics that shares no code with the
+// fused pass: materialize the rows a predicate keeps, then group them
+// through a hash map of encoded keys, reading every cell as a boxed Value.
 
 using RowPredicate = std::function<bool(const Table&, size_t)>;
 
@@ -123,7 +122,7 @@ Table GroupByAggregate(const Table& table, const std::string& key,
   return std::move(out).value();
 }
 
-// --- Random cases --------------------------------------------------------------
+// --- Random cases ------------------------------------------------------------
 
 constexpr const char* kDictWords[] = {"amaranth", "basil", "clove", "dill",
                                       "endive", "fennel", "ginger"};
