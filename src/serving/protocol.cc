@@ -438,7 +438,7 @@ culinary::Status ApplyRequestFields(
     const std::vector<JsonField>& fields, WireRequest* wire,
     const std::vector<std::vector<JsonField>>** requests_out) {
   bool saw_op = false;
-  uint32_t seen = 0;  // bit i: kRequestKeys[i] already applied
+  uint32_t seen = 0;  // bit i: kRequestKeys[i] already seen
   for (const JsonField& field : fields) {
     for (size_t i = 0; i < std::size(kRequestKeys); ++i) {
       if (field.key != kRequestKeys[i]) continue;
