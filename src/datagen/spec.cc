@@ -212,4 +212,10 @@ WorldSpec WorldSpec::Small() {
   return spec;
 }
 
+WorldSpec WorldSpec::For(bool small, uint64_t seed) {
+  WorldSpec spec = small ? Small() : Default();
+  if (seed != 0) spec.seed = seed;
+  return spec;
+}
+
 }  // namespace culinary::datagen

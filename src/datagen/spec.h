@@ -83,6 +83,10 @@ struct WorldSpec {
 
   /// A miniature world (hundreds of recipes) for fast tests and examples.
   static WorldSpec Small();
+
+  /// The world a binary's `--small` and `--seed` flags name: Small() or
+  /// Default(), reseeded unless `seed` is 0.
+  static WorldSpec For(bool small, uint64_t seed = 0);
 };
 
 }  // namespace culinary::datagen
