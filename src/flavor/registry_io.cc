@@ -1,7 +1,8 @@
 #include "flavor/registry_io.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -49,9 +50,18 @@ std::string JoinIds(const std::vector<T>& ids) {
   return out;
 }
 
+/// Parses the whole of `text` as a decimal integer of type T; false on any
+/// other text, including a number outside T's range.
+template <typename T>
+bool ParseWholeInt(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 /// Parses a ';'-separated id list; empty string yields an empty list. With
-/// `lenient`, unparseable parts are dropped (count returned via
-/// `*dropped`) instead of failing the list.
+/// `lenient`, unparseable or out-of-range parts are dropped (count returned
+/// via `*dropped`) instead of failing the list.
 culinary::Result<std::vector<int32_t>> ParseIds(std::string_view text,
                                                 bool lenient = false,
                                                 size_t* dropped = nullptr) {
@@ -60,9 +70,8 @@ culinary::Result<std::vector<int32_t>> ParseIds(std::string_view text,
   for (const std::string& part : culinary::Split(text, ';')) {
     std::string_view trimmed = culinary::Trim(part);
     if (trimmed.empty()) continue;
-    bool negative = trimmed[0] == '-';
-    std::string_view digits = negative ? trimmed.substr(1) : trimmed;
-    if (!culinary::IsDigits(digits)) {
+    int32_t id = 0;
+    if (!ParseWholeInt(trimmed, &id)) {
       if (lenient) {
         if (dropped != nullptr) ++*dropped;
         continue;
@@ -70,8 +79,7 @@ culinary::Result<std::vector<int32_t>> ParseIds(std::string_view text,
       return culinary::Status::ParseError("bad id '" + std::string(part) +
                                           "'");
     }
-    long v = std::strtol(std::string(trimmed).c_str(), nullptr, 10);
-    out.push_back(static_cast<int32_t>(v));
+    out.push_back(id);
   }
   return out;
 }
@@ -144,20 +152,24 @@ culinary::Status SaveRegistryCsv(const FlavorRegistry& registry,
 
 namespace {
 
-/// Parses an integer cell read with type inference disabled.
-culinary::Result<int64_t> CellToInt(const df::Value& v) {
-  if (v.is_int()) return v.as_int();
-  if (v.is_string()) {
-    std::string_view trimmed = culinary::Trim(v.as_string());
-    bool negative = !trimmed.empty() && trimmed[0] == '-';
-    std::string_view digits = negative ? trimmed.substr(1) : trimmed;
-    if (culinary::IsDigits(digits)) {
-      return static_cast<int64_t>(
-          std::strtoll(std::string(trimmed).c_str(), nullptr, 10));
-    }
+/// Parses an integer cell read with type inference disabled into T; a
+/// number outside T's range is an error, never a wrapped id.
+template <typename T>
+culinary::Result<T> CellToInt(const df::Value& v) {
+  int64_t wide = 0;
+  if (v.is_int()) {
+    wide = v.as_int();
+  } else if (!v.is_string() ||
+             !ParseWholeInt(culinary::Trim(v.as_string()), &wide)) {
+    return culinary::Status::ParseError("expected integer cell, got " +
+                                        v.ToString());
   }
-  return culinary::Status::ParseError("expected integer cell, got " +
-                                      v.ToString());
+  if (!std::in_range<T>(wide)) {
+    return culinary::Status::ParseError("integer cell " +
+                                        std::to_string(wide) +
+                                        " out of range");
+  }
+  return static_cast<T>(wide);
 }
 
 /// Shared state for the degraded registry loader: quarantined rows are
@@ -224,7 +236,7 @@ culinary::Status LoadMoleculeRow(LoadContext& ctx, const df::Table& molecules,
   if (id_v.is_null() || name_v.is_null()) {
     return culinary::Status::ParseError("null molecule row");
   }
-  CULINARY_ASSIGN_OR_RETURN(int64_t mol_id, CellToInt(id_v));
+  CULINARY_ASSIGN_OR_RETURN(MoleculeId mol_id, CellToInt<MoleculeId>(id_v));
   std::vector<std::string> descriptors;
   auto desc_v = molecules.GetValueChecked(r, "descriptors");
   if (desc_v.ok() && !desc_v->is_null() && desc_v->is_string()) {
@@ -269,8 +281,9 @@ culinary::Status LoadEntityRow(LoadContext& ctx, const df::Table& entities,
     return culinary::Status::ParseError("null entity field in row " +
                                         std::to_string(r));
   }
-  CULINARY_ASSIGN_OR_RETURN(int64_t ing_id, CellToInt(id_v));
-  ing.id = static_cast<IngredientId>(ing_id);
+  CULINARY_ASSIGN_OR_RETURN(IngredientId ing_id,
+                            CellToInt<IngredientId>(id_v));
+  ing.id = ing_id;
   ing.name = name_v.as_string();
   auto category = CategoryFromString(cat_v.as_string());
   if (!category.has_value()) {
@@ -287,7 +300,8 @@ culinary::Status LoadEntityRow(LoadContext& ctx, const df::Table& entities,
   } else {
     return kind.status();
   }
-  CULINARY_ASSIGN_OR_RETURN(int64_t removed_flag, CellToInt(removed_v));
+  CULINARY_ASSIGN_OR_RETURN(int64_t removed_flag,
+                            CellToInt<int64_t>(removed_v));
   ing.removed = removed_flag != 0;
 
   auto syn_v = entities.GetValueChecked(r, "synonyms");

@@ -179,6 +179,30 @@ TEST(RegistryIoTest, ForwardConstituentRejected) {
   Cleanup(prefix);
 }
 
+// Ids past int32_t are malformed ids, not wrapped ones: an entity id of
+// 4294967296 used to load as entity 0, and a profile id of 4294967296 as
+// molecule 0.
+TEST(RegistryIoTest, StrictRejectsIdsPastInt32) {
+  std::string prefix = TempPrefix("wide_ids");
+  const char* const kRows[][2] = {
+      {"0,linalool,\n", "4294967296,tomato,Vegetable,basic,0,,0,\n"},
+      {"0,linalool,\n", "0,tomato,Vegetable,basic,0,,4294967296,\n"},
+      {"0,linalool,\n", "0,tomato,Vegetable,basic,0,,-2147483649,\n"},
+      {"4294967296,linalool,\n", "0,tomato,Vegetable,basic,0,,,\n"}};
+  for (const auto& [molecule, entity] : kRows) {
+    {
+      std::ofstream mols(prefix + "_molecules.csv");
+      mols << "id,name,descriptors\n" << molecule;
+      std::ofstream ents(prefix + "_entities.csv");
+      ents << "id,name,category,kind,removed,synonyms,profile,constituents\n"
+           << entity;
+    }
+    EXPECT_TRUE(LoadRegistryCsv(prefix).status().IsParseError())
+        << molecule << entity;
+  }
+  Cleanup(prefix);
+}
+
 TEST(RestoreIngredientTest, OutOfOrderIdRejected) {
   FlavorRegistry reg;
   Ingredient ing;
@@ -336,6 +360,35 @@ TEST(RegistryDegradedTest, BestEffortSalvagesDanglingProfileIds) {
   ASSERT_NE(tomato, kInvalidIngredient);
   EXPECT_EQ(salvaged->GetIngredient(tomato)->profile.size(), 1u);
   EXPECT_FALSE(sink.empty());
+  Cleanup(prefix);
+}
+
+TEST(RegistryDegradedTest, BestEffortQuarantinesIdsPastInt32) {
+  std::string prefix = TempPrefix("degraded_wide_ids");
+  {
+    std::ofstream mols(prefix + "_molecules.csv");
+    mols << "id,name,descriptors\n4294967296,wide,\n1,vanillin,\n";
+    std::ofstream ents(prefix + "_entities.csv");
+    ents << "id,name,category,kind,removed,synonyms,profile,constituents\n"
+         << "4294967296,tomato,Vegetable,basic,0,,1,\n"  // quarantined
+         << "1,basil,Herb,basic,0,,1;4294967297,\n";     // id dropped
+  }
+  robustness::ErrorSink sink;
+  robustness::IngestStats stats;
+  RegistryLoadOptions options;
+  options.error_policy = robustness::ErrorPolicy::kBestEffort;
+  options.error_sink = &sink;
+  options.stats = &stats;
+  auto loaded = LoadRegistryCsv(prefix, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_molecules(), 2u);  // vanillin keeps id 1
+  EXPECT_EQ(loaded->GetMolecule(1)->name, "vanillin");
+  EXPECT_EQ(loaded->FindByName("tomato"), kInvalidIngredient);
+  IngredientId basil = loaded->FindByName("basil");
+  EXPECT_EQ(basil, 1);
+  EXPECT_EQ(loaded->GetIngredient(basil)->profile, FlavorProfile({1}));
+  EXPECT_EQ(stats.records_quarantined, 2u);  // the molecule and tomato rows
+  EXPECT_EQ(sink.total(), 3u);               // ... and basil's dropped id
   Cleanup(prefix);
 }
 
