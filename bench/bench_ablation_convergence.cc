@@ -4,28 +4,27 @@
 // sample grows — the sign locks in within a few hundred recipes, the null
 // mean converges, and |Z| grows ∝ √N as the standard error of the null
 // mean shrinks.
-//
-// Usage: bench_ablation_convergence [--small]
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "analysis/null_models.h"
 #include "analysis/pairing.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
 int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--small") small = true;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[convergence] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

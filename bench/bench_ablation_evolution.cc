@@ -10,18 +10,15 @@
 //      compatible ingredients, negative when it favours contrast (Fig 4);
 //   3. the Ingredient Frequency null model accounting for most of the
 //      pairing signal, as in the real cuisines.
-//
-// Usage: bench_ablation_evolution [--small] [--null-recipes=N]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/composition.h"
 #include "analysis/null_models.h"
 #include "analysis/pairing.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 #include "evolution/copy_mutate.h"
@@ -30,16 +27,15 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   size_t null_recipes = 20000;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--null-recipes=")) {
-      null_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--null-recipes="), nullptr, 10));
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("null-recipes", &null_recipes,
+                           "null recipes per model",
+                           2)})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[evolution] generating universe...\n");
   auto world_result = datagen::GenerateWorld(spec);

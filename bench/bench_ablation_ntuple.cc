@@ -9,16 +9,13 @@
 // (cuisines blending similar flavors share compounds across triples and
 // quadruples too), with the raw sharing means shrinking as k grows (a compound must
 // survive k intersections) while statistical significance persists.
-//
-// Usage: bench_ablation_ntuple [--small] [--null-recipes=N]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/ntuple.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
@@ -26,16 +23,14 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   size_t null_recipes = 5000;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--null-recipes=")) {
-      null_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--null-recipes="), nullptr, 10));
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("null-recipes", &null_recipes,
+                           "null recipes per region and order")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[ntuple] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

@@ -11,12 +11,8 @@
 // For each setting the Z-score against the Random Cuisine is recomputed;
 // the pattern is robust when the sign (and rough magnitude ordering)
 // survives.
-//
-// Usage: bench_ablation_robustness [--small] [--null-recipes=N]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -24,6 +20,7 @@
 #include "analysis/perturb.h"
 #include "analysis/pairing.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
@@ -54,16 +51,15 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   size_t null_recipes = 20000;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--null-recipes=")) {
-      null_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--null-recipes="), nullptr, 10));
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("null-recipes", &null_recipes,
+                           "null recipes per model",
+                           2)})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[robustness] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

@@ -8,17 +8,14 @@
 // The paper's protocol "maximiz[es] the information retrieval ... while
 // minimizing false positives"; this harness quantifies exactly that
 // trade-off on data with known ground truth.
-//
-// Usage: bench_aliasing_recovery [--small] [--recipes=N]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datagen/phrase_gen.h"
@@ -62,16 +59,14 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   size_t max_recipes = 3000;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--recipes=")) {
-      max_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--recipes="), nullptr, 10));
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("recipes", &max_recipes,
+                           "ground-truth recipes per noise level", 1)})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[aliasing] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

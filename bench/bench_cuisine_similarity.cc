@@ -5,27 +5,26 @@
 //
 // Prints the usage-cosine similarity matrix over the 22 regions and each
 // region's nearest culinary neighbor under both metrics.
-//
-// Usage: bench_cuisine_similarity [--small]
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
 #include "analysis/similarity.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
 int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--small") small = true;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[similarity] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

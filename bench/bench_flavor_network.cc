@@ -6,15 +6,13 @@
 // multiscale backbone at several significance levels, and the top
 // authentic ingredients of representative cuisines (the "signature
 // ingredient combinations" the paper attributes cuisines' identities to).
-//
-// Usage: bench_flavor_network [--small]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 #include "network/flavor_network.h"
@@ -22,11 +20,12 @@
 int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--small") small = true;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[network] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

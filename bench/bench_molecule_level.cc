@@ -3,28 +3,27 @@
 // representative cuisines, the most-used molecules, the cuisine's
 // signature molecules (usage share vs the other 21 cuisines), and the
 // shared-compound spectrum that feeds the pairing analysis.
-//
-// Usage: bench_molecule_level [--small]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/molecules.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
 int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--small") small = true;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small);
 
   std::fprintf(stderr, "[molecules] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

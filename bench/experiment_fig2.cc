@@ -16,18 +16,16 @@
 // intermediate filtered table. Every share is cross-checked against the
 // direct `analysis::CategoryComposition` loop; any disagreement fails the
 // run.
-//
-// Usage: experiment_fig2 [--small] [--seed=S]
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/composition.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "dataframe/aggregate.h"
 #include "datagen/world.h"
@@ -57,16 +55,13 @@ culinary::Status AppendUses(df::Table& uses, const recipe::Cuisine& cuisine,
 int main(int argc, char** argv) {
   bool small = false;
   uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--seed=")) {
-      seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (seed != 0) spec.seed = seed;
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[fig2] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

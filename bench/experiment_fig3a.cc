@@ -11,17 +11,15 @@
 // intermediate filtered table. Means are cross-checked against
 // `Cuisine::MeanRecipeSize()` and maxima against the size histogram; any
 // disagreement fails the run.
-//
-// Usage: experiment_fig3a [--small] [--seed=S]
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/composition.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "dataframe/aggregate.h"
 #include "datagen/world.h"
@@ -30,16 +28,13 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--seed=")) {
-      seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (seed != 0) spec.seed = seed;
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[fig3a] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

@@ -5,17 +5,14 @@
 // consistent scaling phenomenon" — the normalized frequency-vs-rank curves
 // collapse onto a common shape — and a few special ingredients dominate
 // each cuisine.
-//
-// Usage: experiment_fig3b [--small] [--seed=S]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/composition.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
@@ -23,16 +20,13 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--seed=")) {
-      seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (seed != 0) spec.seed = seed;
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[fig3b] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

@@ -9,65 +9,77 @@
 // the real pairing to a large extent (small |Z| against it); the Category
 // model does not.
 //
-// Usage: experiment_fig4 [--small] [--null-recipes=N] [--seed=S] [--threads=T]
-//        [--csv=PATH]  (machine-readable results: region,model,real,null,z)
+// The optional CSV export holds one region,model,real_mean,null_mean,
+// null_stddev,z row per region and model; a failed export exits 1.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "analysis/null_models.h"
 #include "analysis/pairing.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "dataframe/csv.h"
 #include "datagen/world.h"
 
 namespace {
 
-struct Args {
-  bool small = false;
-  size_t null_recipes = 100000;
-  uint64_t seed = 0;  // 0 = spec default
-  size_t threads = 1;
-  std::string csv_path;
+using namespace culinary;  // NOLINT(build/namespaces)
+
+struct RegionRow {
+  bool ok = false;
+  std::string error;
+  std::vector<analysis::FoodPairingResult> results;
 };
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") {
-      args.small = true;
-    } else if (culinary::StartsWith(a, "--null-recipes=")) {
-      args.null_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--null-recipes="), nullptr, 10));
-    } else if (culinary::StartsWith(a, "--seed=")) {
-      args.seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    } else if (culinary::StartsWith(a, "--threads=")) {
-      args.threads = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--threads="), nullptr, 10));
-    } else if (culinary::StartsWith(a, "--csv=")) {
-      args.csv_path = a.substr(strlen("--csv="));
+/// Writes every region's four model results as one CSV row each.
+Status ExportCsv(const std::vector<RegionRow>& rows, const std::string& path) {
+  df::Schema schema({{"region", df::DataType::kString},
+                     {"model", df::DataType::kString},
+                     {"real_mean", df::DataType::kDouble},
+                     {"null_mean", df::DataType::kDouble},
+                     {"null_stddev", df::DataType::kDouble},
+                     {"z", df::DataType::kDouble}});
+  CULINARY_ASSIGN_OR_RETURN(df::Table table, df::Table::Make(schema));
+  for (int i = 0; i < recipe::kNumRegions; ++i) {
+    for (const auto& r : rows[static_cast<size_t>(i)].results) {
+      CULINARY_RETURN_IF_ERROR(table.AppendRow(
+          {df::Value::Str(
+               std::string(recipe::RegionCode(recipe::AllRegions()[i]))),
+           df::Value::Str(std::string(analysis::NullModelKindToString(r.kind))),
+           df::Value::Real(r.real_mean), df::Value::Real(r.null_mean),
+           df::Value::Real(r.null_stddev), df::Value::Real(r.z_score)}));
     }
   }
-  return args;
+  return df::WriteCsvFile(table, path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace culinary;  // NOLINT(build/namespaces)
-  Args args = ParseArgs(argc, argv);
-
-  datagen::WorldSpec spec =
-      args.small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (args.seed != 0) spec.seed = args.seed;
+  bool small = false;
+  size_t null_recipes = 100000;
+  uint64_t seed = 0;
+  size_t threads = 1;
+  std::string csv_path;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("null-recipes", &null_recipes,
+                           "null recipes per model", 2),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own"),
+           flags::Unsigned("threads", &threads, "null-sweep threads"),
+           flags::String("csv", &csv_path, "PATH",
+                         "also write the results as CSV")})) {
+    return 2;
+  }
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[fig4] generating world (%s)...\n",
-               args.small ? "small" : "default");
+               small ? "small" : "default");
   auto world_result = datagen::GenerateWorld(spec);
   if (!world_result.ok()) {
     std::fprintf(stderr, "world generation failed: %s\n",
@@ -77,12 +89,12 @@ int main(int argc, char** argv) {
   const datagen::SyntheticWorld& world = world_result.value();
 
   analysis::NullModelOptions options;
-  options.num_recipes = args.null_recipes;
+  options.num_recipes = null_recipes;
   // Threads drive the per-region null-model sweep itself (block-parallel,
   // bit-identical to the serial sweep) rather than an outer region loop:
   // the 22 regions are badly balanced (cuisine sizes differ by an order of
   // magnitude), while the 100k-sample sweep splits into uniform blocks.
-  options.exec.num_threads = args.threads;
+  options.exec.num_threads = threads;
 
   analysis::TextTable table({"Region", "Code", "N_s(real)", "Z(random)",
                              "Z(frequency)", "Z(category)", "Z(freq+cat)",
@@ -90,16 +102,11 @@ int main(int argc, char** argv) {
 
   std::printf("=== Figure 4: food pairing Z-scores, %zu null recipes/model "
               "(%zu thread%s) ===\n",
-              options.num_recipes, std::max<size_t>(args.threads, 1),
-              args.threads > 1 ? "s" : "");
+              options.num_recipes, std::max<size_t>(threads, 1),
+              threads > 1 ? "s" : "");
 
   // Regions run serially; the parallelism lives inside each null-model
   // sweep (options.exec), so Z-scores do not depend on the thread count.
-  struct RegionRow {
-    bool ok = false;
-    std::string error;
-    std::vector<analysis::FoodPairingResult> results;
-  };
   std::vector<RegionRow> rows(recipe::kNumRegions);
   for (size_t i = 0; i < static_cast<size_t>(recipe::kNumRegions); ++i) {
     recipe::Region region = recipe::AllRegions()[i];
@@ -135,35 +142,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  if (!args.csv_path.empty()) {
-    df::Schema schema({{"region", df::DataType::kString},
-                       {"model", df::DataType::kString},
-                       {"real_mean", df::DataType::kDouble},
-                       {"null_mean", df::DataType::kDouble},
-                       {"null_stddev", df::DataType::kDouble},
-                       {"z", df::DataType::kDouble}});
-    auto csv_table = df::Table::Make(schema);
-    if (csv_table.ok()) {
-      for (int i = 0; i < recipe::kNumRegions; ++i) {
-        for (const auto& r : rows[static_cast<size_t>(i)].results) {
-          csv_table
-              ->AppendRow(
-                  {df::Value::Str(std::string(
-                       recipe::RegionCode(recipe::AllRegions()[i]))),
-                   df::Value::Str(std::string(
-                       analysis::NullModelKindToString(r.kind))),
-                   df::Value::Real(r.real_mean), df::Value::Real(r.null_mean),
-                   df::Value::Real(r.null_stddev), df::Value::Real(r.z_score)})
-              .ToString();
-        }
-      }
-      Status s = df::WriteCsvFile(*csv_table, args.csv_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
-      } else {
-        std::fprintf(stderr, "[fig4] wrote %s\n", args.csv_path.c_str());
-      }
+  if (!csv_path.empty()) {
+    const Status s = ExportCsv(rows, csv_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
+      return 1;
     }
+    std::fprintf(stderr, "[fig4] wrote %s\n", csv_path.c_str());
   }
   std::printf(
       "Paper expectation: positive (uniform) — ITA AFR CBN GRC ESP USA INSC ME "

@@ -7,18 +7,15 @@
 // ingredients most aligned with the cuisine's pairing direction: for
 // uniform-pairing cuisines (Fig 5a) the strongest positive contributors,
 // for contrasting cuisines (Fig 5b) the strongest negative ones.
-//
-// Usage: experiment_fig5 [--small] [--seed=S] [--null-recipes=N]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/contribution.h"
 #include "analysis/null_models.h"
 #include "analysis/pairing.h"
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
@@ -27,20 +24,15 @@ int main(int argc, char** argv) {
   bool small = false;
   uint64_t seed = 0;
   size_t null_recipes = 20000;  // only needed to determine pairing signs
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--seed=")) {
-      seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    }
-    if (StartsWith(a, "--null-recipes=")) {
-      null_recipes = static_cast<size_t>(
-          std::strtoull(a.c_str() + strlen("--null-recipes="), nullptr, 10));
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own"),
+           flags::Unsigned("null-recipes", &null_recipes,
+                           "null recipes per region", 2)})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (seed != 0) spec.seed = seed;
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[fig5] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

@@ -6,15 +6,12 @@
 // the paper quotes in the text (45,772 recipes including 207 recipes from
 // regions too small to stand alone; an average of 321 unique ingredients
 // per region).
-//
-// Usage: experiment_table1 [--small] [--seed=S]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/report.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "datagen/world.h"
 
@@ -22,16 +19,13 @@ int main(int argc, char** argv) {
   using namespace culinary;  // NOLINT(build/namespaces)
   bool small = false;
   uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--small") small = true;
-    if (StartsWith(a, "--seed=")) {
-      seed = std::strtoull(a.c_str() + strlen("--seed="), nullptr, 10);
-    }
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &small, "the miniature world"),
+           flags::Unsigned("seed", &seed, "world seed, 0 = the spec's own")})) {
+    return 2;
   }
-  datagen::WorldSpec spec =
-      small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (seed != 0) spec.seed = seed;
+  const datagen::WorldSpec spec = datagen::WorldSpec::For(small, seed);
 
   std::fprintf(stderr, "[table1] generating world...\n");
   auto world_result = datagen::GenerateWorld(spec);

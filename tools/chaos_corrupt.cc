@@ -1,128 +1,73 @@
 // chaos_corrupt: deterministically mangles a serialized corpus with the
 // damage mix real deployments exhibit. The schedule is a pure function of
-// (input bytes, --seed), so a failing downstream run replays exactly.
+// (input bytes, seed), so a failing downstream run replays exactly.
 //
-// CSV mode (default): truncation, unterminated quotes, bit flips,
-// duplicated records, oversized fields, ragged rows.
-//
-// Snapshot mode (--snapshot-mode=MODE): targets one corruption class of the
-// binary world-snapshot format per run, so every loader branch is
-// reachable from a soak script. Modes: flip-magic, zero-section-checksum,
-// truncate-mid-section, bitflip-payload, wrong-digest.
-//
-// Usage: chaos_corrupt <in> <out> [--seed=N]
-//          [--rate=0.05] [--no-truncate] [--no-quote] [--no-bitflip]
-//          [--no-dup] [--no-oversize] [--no-ragged] [--corrupt-header]
-//          [--snapshot-mode=MODE]
+// CSV mode (the default) mixes truncation, unterminated quotes, bit flips,
+// duplicated records, oversized fields and ragged rows. Snapshot mode
+// targets one corruption class of the binary world-snapshot format per
+// run, so every loader branch is reachable from a soak script.
 //
 // Prints the applied mutation to stderr. Exits 1 on IO failure and 2 on a
-// usage error: an unknown flag, or a --rate outside [0, 1] or a --seed that
-// is not a whole unsigned decimal.
+// usage error.
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
-#include "common/string_util.h"
+#include "common/flags.h"
 #include "robustness/chaos.h"
 #include "snapshot/chaos.h"
 
-namespace {
-
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: chaos_corrupt <in> <out> [--rate=0.05] [--seed=N]\n"
-      "                     [--no-truncate] [--no-quote] [--no-bitflip]\n"
-      "                     [--no-dup] [--no-oversize] [--no-ragged]\n"
-      "                     [--corrupt-header]\n"
-      "                     [--snapshot-mode=flip-magic|zero-section-checksum|"
-      "truncate-mid-section|bitflip-payload|wrong-digest]\n");
-}
-
-int UsageError(const char* what, const std::string& arg) {
-  std::fprintf(stderr, "%s: %s\n", what, arg.c_str());
-  PrintUsage();
-  return 2;
-}
-
-/// Strict parses: the whole value must be consumed, so a typo is a usage
-/// error rather than strtod/strtoull's "0 on garbage".
-bool ParseRate(const char* text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  if (!(parsed >= 0.0 && parsed <= 1.0)) return false;  // NaN fails too
-  *out = parsed;
-  return true;
-}
-
-bool ParseSeed(const char* text, uint64_t* out) {
-  if (*text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using culinary::StartsWith;
   using culinary::robustness::ChaosOptions;
   using culinary::robustness::ChaosStats;
+  namespace flags = culinary::flags;
 
-  if (argc < 3) {
-    PrintUsage();
-    return 2;
-  }
-  const std::string in_path = argv[1];
-  const std::string out_path = argv[2];
   ChaosOptions options;
   std::string snapshot_mode;
-  for (int i = 3; i < argc; ++i) {
-    std::string a = argv[i];
-    if (StartsWith(a, "--snapshot-mode=")) {
-      snapshot_mode = a.substr(strlen("--snapshot-mode="));
-    } else if (StartsWith(a, "--rate=")) {
-      if (!ParseRate(a.c_str() + strlen("--rate="), &options.corruption_rate)) {
-        return UsageError("bad value", a);
-      }
-    } else if (StartsWith(a, "--seed=")) {
-      if (!ParseSeed(a.c_str() + strlen("--seed="), &options.seed)) {
-        return UsageError("bad value", a);
-      }
-    } else if (a == "--no-truncate") {
-      options.enable_truncation = false;
-    } else if (a == "--no-quote") {
-      options.enable_unterminated_quote = false;
-    } else if (a == "--no-bitflip") {
-      options.enable_bit_flips = false;
-    } else if (a == "--no-dup") {
-      options.enable_duplicate_lines = false;
-    } else if (a == "--no-oversize") {
-      options.enable_oversized_fields = false;
-    } else if (a == "--no-ragged") {
-      options.enable_ragged_rows = false;
-    } else if (a == "--corrupt-header") {
-      options.preserve_header = false;
-    } else {
-      return UsageError("unknown flag", a);
-    }
-  }
+  bool no_truncate = false;
+  bool no_quote = false;
+  bool no_bitflip = false;
+  bool no_dup = false;
+  bool no_oversize = false;
+  bool no_ragged = false;
+  bool corrupt_header = false;
+  std::vector<std::string> paths;
+  const std::vector<flags::Flag> table = {
+      flags::Double("rate", &options.corruption_rate,
+                    "share of records to damage", 0.0, 1.0),
+      flags::Unsigned("seed", &options.seed, "damage schedule seed"),
+      flags::Presence("no-truncate", &no_truncate, "no truncation"),
+      flags::Presence("no-quote", &no_quote, "no unterminated quotes"),
+      flags::Presence("no-bitflip", &no_bitflip, "no bit flips"),
+      flags::Presence("no-dup", &no_dup, "no duplicated records"),
+      flags::Presence("no-oversize", &no_oversize, "no oversized fields"),
+      flags::Presence("no-ragged", &no_ragged, "no ragged rows"),
+      flags::Presence("corrupt-header", &corrupt_header,
+                      "let the header row be damaged too"),
+      flags::String("snapshot-mode", &snapshot_mode, "MODE",
+                    "damage a world snapshot instead: flip-magic, "
+                    "zero-section-checksum, truncate-mid-section, "
+                    "bitflip-payload or wrong-digest")};
+  const flags::Positionals in_out{"<in> <out>", 2, 2, &paths};
+  if (!flags::ParseCommandLine(argc, argv, table, in_out)) return 2;
+  options.enable_truncation = !no_truncate;
+  options.enable_unterminated_quote = !no_quote;
+  options.enable_bit_flips = !no_bitflip;
+  options.enable_duplicate_lines = !no_dup;
+  options.enable_oversized_fields = !no_oversize;
+  options.enable_ragged_rows = !no_ragged;
+  options.preserve_header = !corrupt_header;
+  const std::string& in_path = paths[0];
+  const std::string& out_path = paths[1];
 
   if (!snapshot_mode.empty()) {
     auto mode = culinary::snapshot::ParseSnapshotCorruptionMode(snapshot_mode);
     if (!mode.ok()) {
-      std::fprintf(stderr, "chaos_corrupt: %s\n",
-                   mode.status().ToString().c_str());
-      PrintUsage();
+      std::fprintf(stderr, "chaos_corrupt: %s\n%s",
+                   mode.status().ToString().c_str(),
+                   flags::Usage(argv[0], table, in_out).c_str());
       return 2;
     }
     culinary::Status status = culinary::snapshot::CorruptSnapshotFile(

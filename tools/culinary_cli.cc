@@ -1,56 +1,36 @@
 // culinary — command-line front end to the CulinaryLab library.
 //
-// Subcommands (all operate on the deterministic synthetic world; pass
-// --small for the miniature world and --seed=N to reseed):
+// Subcommands, all over the deterministic synthetic world unless `analyze`
+// is given a recipe CSV:
 //
-//   culinary stats                          Table-1-style dataset summary
-//   culinary export --out=PREFIX            write the world as CSVs:
-//                                           <PREFIX>_{recipes,ingredients,
-//                                           molecules,entities}.csv
-//   culinary pairing [--region=CODE] [--null-recipes=N]
-//                                           food-pairing Z-scores (Fig 4)
-//   culinary partners NAME [--top=K]        best/worst flavor partners
-//   culinary parse PHRASE...                run the aliasing protocol
-//   culinary classify [--probes=N]          leave-one-out fingerprinting
-//   culinary similar [--region=CODE]        nearest culinary neighbors
-//   culinary authentic --region=CODE        most authentic ingredients
-//   culinary analyze --recipes=FILE [--registry=PREFIX] [--null-recipes=N]
-//                                           food pairing over an external
-//                                           recipe CSV; names resolve
-//                                           against a saved registry
-//                                           (--registry) or the generated one
+//   culinary stats                    Table-1-style dataset summary
+//   culinary export                   write the world as CSVs:
+//                                     <PREFIX>_{recipes,ingredients,
+//                                     molecules,entities}.csv
+//   culinary pairing                  food-pairing Z-scores (Fig 4)
+//   culinary partners NAME            best flavor partners of NAME
+//   culinary parse PHRASE...          run the aliasing protocol
+//   culinary classify                 leave-one-out fingerprinting
+//   culinary similar                  nearest culinary neighbors
+//   culinary authentic --region=CODE  most authentic ingredients
+//   culinary analyze --recipes=FILE   food pairing over an external recipe
+//                                     CSV; names resolve against a saved
+//                                     registry or the generated one
 //
-// Observability (any subcommand): --metrics-out=FILE dumps the metrics
-// registry as JSON after the command finishes; --trace-out=FILE dumps the
-// recorded spans in chrome://tracing format. Either flag switches the
-// observability layer on for the run; results are unchanged (the layer only
-// records, it never steers execution).
+// The metrics and trace exports only record; results are unchanged. A
+// snapshot whose world-inputs digest no longer matches the requested
+// inputs, or that is corrupt, is quarantined and the world rebuilt from
+// source, after which the snapshot is refreshed.
 //
-// Snapshots (any world-consuming subcommand): --snapshot-out=FILE saves the
-// built world — registry, recipes, and the world pairing triangle — as a
-// crash-safe binary snapshot; --snapshot-in=FILE loads it instead of
-// regenerating/re-parsing (5x+ faster cold start). A snapshot whose
-// world-inputs digest no longer matches the requested inputs, or that is
-// corrupt, is quarantined and the world rebuilt from source, after which the
-// snapshot is automatically refreshed.
-//
-// Lifecycle (pairing / analyze): --deadline-ms=N bounds the whole command's
-// analysis wall time — an ensemble that overruns stops at the next block
-// boundary and the command exits 3. --checkpoint=PREFIX persists completed
-// ensemble blocks to <PREFIX>.<region>.<model>.ckpt as they finish;
-// --resume restores them on the next run and recomputes only what's
-// missing, with bit-identical results. Unknown --flags and malformed
-// numeric flag values are errors (exit 2), so a typo'd --resume can no
-// longer silently run from scratch and --deadline-ms=abc can no longer
-// silently mean "no deadline".
+// Lifecycle (pairing, analyze): an ensemble that overruns the deadline
+// stops at the next block boundary and the command exits 3; a resumed run
+// recomputes only the blocks its checkpoints lack, with bit-identical
+// results. Other exits: 0 done, 1 failed, 2 usage error.
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/fingerprint.h"
@@ -58,6 +38,7 @@
 #include "analysis/pairing.h"
 #include "analysis/report.h"
 #include "common/cancellation.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "analysis/similarity.h"
 #include "datagen/world.h"
@@ -108,108 +89,11 @@ struct GlobalArgs {
   /// sweep in the command shares one budget (resolved in main()).
   culinary::Deadline deadline;
   std::vector<std::string> positional;
-  /// Arguments that looked like flags (`--...`) but matched nothing; any
-  /// entry here is a usage error (exit 2).
-  std::vector<std::string> unknown_flags;
-  /// Known flags whose value failed strict numeric parsing; a usage error
-  /// (exit 2) just like an unknown flag — a typo'd value must not silently
-  /// become 0 ("no deadline", "seed 0", ...).
-  std::vector<std::string> bad_values;
 };
 
-/// Strict decimal parse of a non-negative integer: the whole value must be
-/// consumed, no strtoull "0 on garbage" fallback.
-bool ParseUint64Value(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  uint64_t parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
-/// Strict parse of a non-negative double (rejects trailing garbage, NaN,
-/// negatives, and overflow).
-bool ParseNonNegativeDoubleValue(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double parsed = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  if (!(parsed >= 0.0)) return false;
-  *out = parsed;
-  return true;
-}
-
-GlobalArgs ParseArgs(int argc, char** argv, int first) {
-  GlobalArgs args;
-  for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&](const char* prefix) {
-      return a.substr(strlen(prefix));
-    };
-    auto take_uint = [&](const char* prefix, auto* out) {
-      uint64_t parsed = 0;
-      if (ParseUint64Value(value(prefix), &parsed)) {
-        *out = static_cast<std::remove_pointer_t<decltype(out)>>(parsed);
-      } else {
-        args.bad_values.push_back(a);
-      }
-    };
-    if (a == "--small") {
-      args.small = true;
-    } else if (StartsWith(a, "--seed=")) {
-      take_uint("--seed=", &args.seed);
-    } else if (StartsWith(a, "--null-recipes=")) {
-      take_uint("--null-recipes=", &args.null_recipes);
-    } else if (StartsWith(a, "--region=")) {
-      args.region = value("--region=");
-    } else if (StartsWith(a, "--out=")) {
-      args.out = value("--out=");
-    } else if (StartsWith(a, "--recipes=")) {
-      args.recipes_file = value("--recipes=");
-    } else if (StartsWith(a, "--registry=")) {
-      args.registry_prefix = value("--registry=");
-    } else if (StartsWith(a, "--top=")) {
-      take_uint("--top=", &args.top);
-    } else if (StartsWith(a, "--probes=")) {
-      take_uint("--probes=", &args.probes);
-    } else if (StartsWith(a, "--metrics-out=")) {
-      args.metrics_out = value("--metrics-out=");
-    } else if (StartsWith(a, "--trace-out=")) {
-      args.trace_out = value("--trace-out=");
-    } else if (StartsWith(a, "--snapshot-in=")) {
-      args.snapshot_in = value("--snapshot-in=");
-    } else if (StartsWith(a, "--snapshot-out=")) {
-      args.snapshot_out = value("--snapshot-out=");
-    } else if (StartsWith(a, "--deadline-ms=")) {
-      if (!ParseNonNegativeDoubleValue(value("--deadline-ms="),
-                                       &args.deadline_ms)) {
-        args.bad_values.push_back(a);
-      }
-    } else if (StartsWith(a, "--checkpoint=")) {
-      args.checkpoint = value("--checkpoint=");
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (StartsWith(a, "--")) {
-      args.unknown_flags.push_back(a);
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
-
-datagen::WorldSpec WorldSpecFor(const GlobalArgs& args) {
-  datagen::WorldSpec spec =
-      args.small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (args.seed != 0) spec.seed = args.seed;
-  return spec;
-}
-
 Result<datagen::SyntheticWorld> BuildWorld(const GlobalArgs& args) {
-  datagen::WorldSpec spec = WorldSpecFor(args);
+  const datagen::WorldSpec spec =
+      datagen::WorldSpec::For(args.small, args.seed);
   std::fprintf(stderr, "generating %s world (seed %llu)...\n",
                args.small ? "small" : "default",
                static_cast<unsigned long long>(spec.seed));
@@ -218,7 +102,8 @@ Result<datagen::SyntheticWorld> BuildWorld(const GlobalArgs& args) {
 
 /// Digest of the inputs the generated world is a pure function of.
 uint64_t GeneratedWorldDigest(const GlobalArgs& args) {
-  return snapshot::DigestGeneratedWorld(WorldSpecFor(args).seed, args.small);
+  return snapshot::DigestGeneratedWorld(
+      datagen::WorldSpec::For(args.small, args.seed).seed, args.small);
 }
 
 /// Acquires a world for `digest`-pinned inputs: straight rebuild without
@@ -380,15 +265,14 @@ void ReportCheckpointUse(const GlobalArgs& args,
   }
 }
 
-int PairingReport(const snapshot::LoadedWorld& world,
+int PairingReport(const flavor::FlavorRegistry& registry,
                   const recipe::Cuisine& cuisine, const GlobalArgs& args) {
-  analysis::PairingCache cache(world.registry(),
-                               cuisine.unique_ingredients());
+  analysis::PairingCache cache(registry, cuisine.unique_ingredients());
   analysis::EnsembleProgress progress;
   analysis::NullModelOptions options = EnsembleOptions(args, cuisine,
                                                        &progress);
-  auto results = analysis::CompareAgainstAllModels(cache, cuisine,
-                                                   world.registry(), options);
+  auto results =
+      analysis::CompareAgainstAllModels(cache, cuisine, registry, options);
   if (!results.ok()) {
     return ReportEnsembleFailure(results.status(), progress);
   }
@@ -412,10 +296,11 @@ int CmdPairing(const GlobalArgs& args) {
       std::fprintf(stderr, "unknown region '%s'\n", args.region.c_str());
       return 1;
     }
-    return PairingReport(world, world.db().CuisineFor(*region), args);
+    return PairingReport(world.registry(), world.db().CuisineFor(*region),
+                         args);
   }
   for (int i = 0; i < recipe::kNumRegions; ++i) {
-    int rc = PairingReport(world,
+    int rc = PairingReport(world.registry(),
                            world.db().CuisineFor(recipe::AllRegions()[i]),
                            args);
     if (rc != 0) return rc;
@@ -501,34 +386,6 @@ int CmdClassify(const GlobalArgs& args) {
   return 0;
 }
 
-int AnalyzeWithDatabase(const GlobalArgs& args,
-                        const flavor::FlavorRegistry& registry,
-                        const recipe::RecipeDatabase& db) {
-  for (int i = 0; i < recipe::kNumRegions; ++i) {
-    recipe::Cuisine cuisine = db.CuisineFor(recipe::AllRegions()[i]);
-    if (cuisine.num_recipes() < 10) continue;  // too small to analyze
-    analysis::PairingCache cache(registry, cuisine.unique_ingredients());
-    analysis::EnsembleProgress progress;
-    analysis::NullModelOptions options = EnsembleOptions(args, cuisine,
-                                                         &progress);
-    auto results =
-        analysis::CompareAgainstAllModels(cache, cuisine, registry, options);
-    if (!results.ok()) {
-      return ReportEnsembleFailure(results.status(), progress);
-    }
-    ReportCheckpointUse(args, progress);
-    std::printf("%-22s N_s(real)=%.3f\n",
-                std::string(recipe::RegionName(cuisine.region())).c_str(),
-                (*results)[0].real_mean);
-    for (const auto& r : *results) {
-      std::printf("  vs %-20s null mean %.3f  Z = %+.1f\n",
-                  std::string(analysis::NullModelKindToString(r.kind)).c_str(),
-                  r.null_mean, r.z_score);
-    }
-  }
-  return 0;
-}
-
 /// Digest of everything `analyze` consumes: the recipe CSV bytes plus
 /// either the saved registry CSVs or the generated-world inputs. Any byte
 /// change in any file makes dependent snapshots stale.
@@ -578,7 +435,14 @@ int CmdAnalyze(const GlobalArgs& args) {
   CULINARY_ASSIGN_OR_RETURN_FOR_MAIN(digest, AnalyzeInputsDigest(args));
   CULINARY_ASSIGN_OR_RETURN_FOR_MAIN(world,
                                      AcquireWorldWith(args, digest, rebuild));
-  return AnalyzeWithDatabase(args, world.registry(), world.db());
+  for (int i = 0; i < recipe::kNumRegions; ++i) {
+    recipe::Cuisine cuisine = world.db().CuisineFor(recipe::AllRegions()[i]);
+    if (cuisine.num_recipes() < 10) continue;  // too small to analyze
+    if (int rc = PairingReport(world.registry(), cuisine, args); rc != 0) {
+      return rc;
+    }
+  }
+  return 0;
 }
 
 int CmdSimilar(const GlobalArgs& args) {
@@ -646,21 +510,6 @@ int CmdAuthentic(const GlobalArgs& args) {
   return 0;
 }
 
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: culinary <stats|export|pairing|partners|parse|classify|"
-      "similar|authentic|analyze>"
-      " [options]\n"
-      "global options: --small --seed=N --null-recipes=N"
-      " --metrics-out=FILE --trace-out=FILE\n"
-      "snapshots: --snapshot-out=FILE (save the world)"
-      " --snapshot-in=FILE (load it; corrupt/stale files degrade to a\n"
-      "  rebuild, are quarantined, and the snapshot is refreshed)\n"
-      "lifecycle (pairing/analyze): --deadline-ms=N --checkpoint=PREFIX"
-      " --resume\n");
-}
-
 /// Writes the metrics / trace dumps requested on the command line. Failures
 /// here degrade the observability artifact, not the analysis, so they warn
 /// and turn the command's exit code into 1 only if it was otherwise clean.
@@ -690,6 +539,8 @@ int WriteObservabilityOutputs(const GlobalArgs& args, int rc) {
   return rc;
 }
 
+constexpr int kUnknownCommand = -1;
+
 int RunCommand(const std::string& cmd, const GlobalArgs& args) {
   if (cmd == "stats") return CmdStats(args);
   if (cmd == "export") return CmdExport(args);
@@ -700,29 +551,55 @@ int RunCommand(const std::string& cmd, const GlobalArgs& args) {
   if (cmd == "similar") return CmdSimilar(args);
   if (cmd == "authentic") return CmdAuthentic(args);
   if (cmd == "analyze") return CmdAnalyze(args);
-  PrintUsage();
-  return 2;
+  return kUnknownCommand;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    PrintUsage();
-    return 2;
-  }
-  std::string cmd = argv[1];
-  GlobalArgs args = ParseArgs(argc, argv, 2);
-  if (!args.unknown_flags.empty() || !args.bad_values.empty()) {
-    for (const std::string& flag : args.unknown_flags) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", flag.c_str());
-    }
-    for (const std::string& flag : args.bad_values) {
-      std::fprintf(stderr, "error: bad numeric value in '%s'\n", flag.c_str());
-    }
-    PrintUsage();
-    return 2;
-  }
+  GlobalArgs args;
+  const std::vector<flags::Flag> table = {
+      flags::Presence("small", &args.small, "the miniature world"),
+      flags::Unsigned("seed", &args.seed, "world seed, 0 = the spec's own"),
+      flags::Unsigned("null-recipes", &args.null_recipes,
+                      "pairing, analyze: null recipes per model", 2),
+      flags::String("region", &args.region, "CODE",
+                    "pairing, similar, authentic: one region"),
+      flags::String("out", &args.out, "PREFIX", "export: CSV file prefix"),
+      flags::String("recipes", &args.recipes_file, "FILE",
+                    "analyze: the recipe CSV"),
+      flags::String("registry", &args.registry_prefix, "PREFIX",
+                    "analyze: saved registry the recipe names resolve "
+                    "against"),
+      flags::Unsigned("top", &args.top,
+                      "partners, similar, authentic: entries to list"),
+      flags::Unsigned("probes", &args.probes,
+                      "classify: leave-one-out probes per region"),
+      flags::String("metrics-out", &args.metrics_out, "FILE",
+                    "write the metrics as JSON after the command"),
+      flags::String("trace-out", &args.trace_out, "FILE",
+                    "write the recorded spans in chrome://tracing format"),
+      flags::String("snapshot-in", &args.snapshot_in, "FILE",
+                    "load the world from this snapshot"),
+      flags::String("snapshot-out", &args.snapshot_out, "FILE",
+                    "save the built world as a snapshot"),
+      flags::Double("deadline-ms", &args.deadline_ms,
+                    "pairing, analyze: wall-clock budget of the whole "
+                    "command, 0 = none",
+                    0.0, std::numeric_limits<double>::infinity()),
+      flags::String("checkpoint", &args.checkpoint, "PREFIX",
+                    "pairing, analyze: persist ensemble blocks to "
+                    "PREFIX.<region>.<model>.ckpt"),
+      flags::Presence("resume", &args.resume,
+                      "pairing, analyze: restore the checkpointed "
+                      "blocks first")};
+  const flags::Positionals command{
+      "<stats|export|pairing|partners|parse|classify|similar|authentic|"
+      "analyze> [ARG...]",
+      1, std::numeric_limits<size_t>::max(), &args.positional};
+  if (!flags::ParseCommandLine(argc, argv, table, command)) return 2;
+  const std::string cmd = args.positional.front();
+  args.positional.erase(args.positional.begin());
   // The deadline clock starts here, once: world generation, cache builds
   // and all four ensembles share the one wall-clock budget the operator
   // asked for, rather than each sweep restarting it.
@@ -732,6 +609,11 @@ int main(int argc, char** argv) {
   if (!args.metrics_out.empty() || !args.trace_out.empty()) {
     obs::SetEnabled(true);
   }
-  int rc = RunCommand(cmd, args);
+  const int rc = RunCommand(cmd, args);
+  if (rc == kUnknownCommand) {
+    std::fprintf(stderr, "culinary: unknown command %s\n%s", cmd.c_str(),
+                 flags::Usage(argv[0], table, command).c_str());
+    return 2;
+  }
   return WriteObservabilityOutputs(args, rc);
 }

@@ -1,7 +1,7 @@
 // culinary_serve — resident pairing-query server over line-delimited JSON.
 //
 // Loads the world ONCE into an immutable serving snapshot, then answers
-// point queries from stdin (or --requests=FILE), one JSON object per line,
+// point queries from stdin (or a requests file), one JSON object per line,
 // one response line per request (see src/serving/protocol.h for the wire
 // format):
 //
@@ -9,47 +9,19 @@
 //   culinary_serve --snapshot-in=world.snap --threads=8
 //   loadgen --small --count=1000 | culinary_serve --small
 //
-// World source (exactly one):
-//   --small            miniature synthetic world (default)
-//   --paper            calibrated paper-scale world (45k recipes)
-//   --snapshot-in=FILE rehydrate from a binary world snapshot. The load is
-//                      hardened: corruption or a stale digest quarantines
-//                      the file and rebuilds from source (kBestEffort), so
-//                      a damaged snapshot degrades startup, never kills it
-//
-// Engine:
-//   --seed=N           reseed the synthetic world (0 = spec default)
-//   --threads=N        worker threads draining the admission queue (4)
-//   --queue-cap=N      admission-queue bound; overflow is shed with
-//                      Unavailable rather than queued without limit (256).
-//                      A worker drains up to 16 same-endpoint waiting
-//                      requests into one shared-snapshot sweep
-//   --null-recipes=N   precompute per-cuisine null-model baselines with N
-//                      randomized recipes each (0 = skip; fast startup)
-//
-// Self-healing:
-//   --reload-retries=N      retry attempts per reload (3)
-//   --breaker-threshold=N   consecutive reload failures that trip the
-//                           circuit breaker open (3)
-//   --breaker-cooldown-ms=N breaker cooldown before a half-open probe (1000)
-//   --slo                   track per-endpoint SLO burn rates; exported as
-//                           slo.* gauges in --metrics-out and summarized on
-//                           stderr at exit
-//   --slo-latency-us=N      latency objective per endpoint for --slo
-//                           (0 = availability-only)
-//
-// Transport:
-//   --requests=FILE    read request lines from FILE instead of stdin
-//   --metrics-out=FILE dump the metrics registry as JSON on exit (switches
-//                      observability on for the run)
-//   --self-signal-ms=N raise SIGTERM at itself after N ms (drain smoke-test
-//                      hook)
+// The world comes from a generated spec or from a binary world snapshot.
+// The snapshot load is hardened: corruption or a stale digest quarantines
+// the file and rebuilds from source (kBestEffort), so a damaged snapshot
+// degrades startup, never kills it. A worker drains up to 16 waiting
+// same-endpoint requests into one shared-snapshot sweep; a request past the
+// 256-deep admission queue is shed with Unavailable.
 //
 // Admin ops on the wire: {"op":"reload"} rebuilds the world from the same
-// source through the hardened reload path (retry + circuit breaker; a
-// failed reload leaves the engine serving its last good snapshot in
-// "degraded") and RCU-swaps it in; {"op":"health"} reports the health
-// state, generation and counters; {"op":"shutdown"} drains and exits 0.
+// source through the hardened reload path (3 attempts, then a circuit
+// breaker that opens after 3 failed reloads for 1 s; a failed reload leaves
+// the engine serving its last good snapshot in "degraded") and RCU-swaps it
+// in; {"op":"health"} reports the health state, generation and counters;
+// {"op":"shutdown"} drains and exits 0.
 //
 // SIGINT/SIGTERM likewise drain gracefully: admission closes (kDraining),
 // in-flight requests finish, metrics are flushed, exit status 0.
@@ -59,23 +31,19 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "common/cancellation.h"
+#include "common/flags.h"
 #include "common/json.h"
 #include "datagen/world.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "robustness/circuit_breaker.h"
-#include "robustness/retry.h"
 #include "serving/engine.h"
 #include "serving/health.h"
 #include "serving/protocol.h"
@@ -109,96 +77,12 @@ struct ServeArgs {
   uint64_t seed = 0;
   std::string snapshot_in;
   size_t threads = 4;
-  size_t queue_cap = 256;
   size_t null_recipes = 0;
-  int reload_retries = 3;
-  int breaker_threshold = 3;
-  double breaker_cooldown_ms = 1000.0;
   bool slo = false;
-  double slo_latency_us = 0.0;
+  uint64_t slo_latency_us = 0;
   std::string requests_file;
   std::string metrics_out;
-  uint64_t self_signal_ms = 0;
-  bool usage_error = false;
 };
-
-bool ParseUint64Value(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
-/// Like ParseUint64Value, for a flag stored as int: a value past INT_MAX is
-/// an error rather than a wrapped cast.
-bool ParseIntValue(const std::string& text, int* out) {
-  uint64_t parsed = 0;
-  if (!ParseUint64Value(text, &parsed) ||
-      parsed > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-ServeArgs ParseArgs(int argc, char** argv) {
-  ServeArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    uint64_t number = 0;
-    if (key == "--small") {
-      args.small = true;
-    } else if (key == "--paper") {
-      args.small = false;
-    } else if (key == "--snapshot-in") {
-      args.snapshot_in = value;
-    } else if (key == "--requests") {
-      args.requests_file = value;
-    } else if (key == "--metrics-out") {
-      args.metrics_out = value;
-    } else if (key == "--slo") {
-      args.slo = true;
-    } else if (key == "--seed") {
-      if (!ParseUint64Value(value, &args.seed)) args.usage_error = true;
-    } else if (key == "--threads") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.threads = static_cast<size_t>(number);
-    } else if (key == "--queue-cap") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.queue_cap = static_cast<size_t>(number);
-    } else if (key == "--null-recipes") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.null_recipes = static_cast<size_t>(number);
-    } else if (key == "--reload-retries") {
-      if (!ParseIntValue(value, &args.reload_retries)) args.usage_error = true;
-    } else if (key == "--breaker-threshold") {
-      if (!ParseIntValue(value, &args.breaker_threshold)) {
-        args.usage_error = true;
-      }
-    } else if (key == "--breaker-cooldown-ms") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.breaker_cooldown_ms = static_cast<double>(number);
-    } else if (key == "--slo-latency-us") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.slo_latency_us = static_cast<double>(number);
-    } else if (key == "--self-signal-ms") {
-      if (!ParseUint64Value(value, &args.self_signal_ms)) {
-        args.usage_error = true;
-      }
-    } else {
-      std::fprintf(stderr, "culinary_serve: unknown flag %s\n", arg.c_str());
-      args.usage_error = true;
-    }
-  }
-  return args;
-}
 
 /// The world source the flags selected, as a reusable SnapshotSource: the
 /// initial load and every hardened reload run the exact same recipe, so a
@@ -206,9 +90,8 @@ ServeArgs ParseArgs(int argc, char** argv) {
 serving::SnapshotSource MakeSource(const ServeArgs& args) {
   serving::SnapshotSource source;
   source.snapshot_options.null_recipes = args.null_recipes;
-  datagen::WorldSpec spec =
-      args.small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (args.seed != 0) spec.seed = args.seed;
+  const datagen::WorldSpec spec =
+      datagen::WorldSpec::For(args.small, args.seed);
   source.rebuild = [spec]() -> Result<snapshot::LoadedWorld> {
     auto generated = datagen::GenerateWorld(spec);
     if (!generated.ok()) return generated.status();
@@ -289,13 +172,12 @@ int Serve(const ServeArgs& args, std::istream& in) {
   obs::SloMonitor slo;
   serving::QueryEngineOptions engine_options;
   engine_options.num_threads = args.threads;
-  engine_options.queue_capacity = args.queue_cap;
   if (args.slo) {
     for (const char* name :
          {"ping", "score", "suggest", "fingerprint", "similar"}) {
       obs::SloObjective objective;
       objective.name = name;
-      objective.latency_threshold_us = args.slo_latency_us;
+      objective.latency_threshold_us = static_cast<double>(args.slo_latency_us);
       slo.SetObjective(std::move(objective));
     }
     engine_options.slo = &slo;
@@ -310,24 +192,8 @@ int Serve(const ServeArgs& args, std::istream& in) {
   sigaddset(&drain_signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &drain_signals, nullptr);
   serving::QueryEngine engine(std::move(built).value(), engine_options);
-
-  std::thread self_signal;
-  if (args.self_signal_ms > 0) {
-    const pthread_t main_thread = pthread_self();
-    const uint64_t delay_ms = args.self_signal_ms;
-    self_signal = std::thread([main_thread, delay_ms] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      pthread_kill(main_thread, SIGTERM);
-    });
-  }
   pthread_sigmask(SIG_UNBLOCK, &drain_signals, nullptr);
-
-  serving::ReloadManager::Options reload_options;
-  reload_options.retry.max_attempts =
-      args.reload_retries < 1 ? 1 : args.reload_retries;
-  reload_options.breaker.failure_threshold = args.breaker_threshold;
-  reload_options.breaker.open_cooldown_ms = args.breaker_cooldown_ms;
-  serving::ReloadManager reloads(&engine, std::move(reload_options));
+  serving::ReloadManager reloads(&engine);
 
   std::fprintf(stderr, "culinary_serve: ready (%zu recipes, generation %llu)\n",
                engine.snapshot()->db().num_recipes(),
@@ -406,7 +272,6 @@ int Serve(const ServeArgs& args, std::istream& in) {
   // before joining — their futures all resolve).
   engine.BeginDrain();
   engine.Stop();
-  if (self_signal.joinable()) self_signal.join();
 
   if (args.slo) {
     const int64_t now_s = SteadyNowS();
@@ -434,8 +299,35 @@ int Serve(const ServeArgs& args, std::istream& in) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ServeArgs args = ParseArgs(argc, argv);
-  if (args.usage_error) return 2;
+  ServeArgs args;
+  bool paper = false;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &args.small,
+                           "serve the miniature world (the default)"),
+           flags::Presence("paper", &paper,
+                           "serve the paper-scale world instead"),
+           flags::String("snapshot-in", &args.snapshot_in, "FILE",
+                         "load the world from this snapshot"),
+           flags::Unsigned("seed", &args.seed,
+                           "world seed, 0 = the spec's own"),
+           flags::Unsigned("threads", &args.threads, "worker threads"),
+           flags::Unsigned("null-recipes", &args.null_recipes,
+                           "null recipes per cuisine baseline, 0 = no "
+                           "baselines"),
+           flags::Presence("slo", &args.slo,
+                           "track per-endpoint SLO burn rates, exported "
+                           "as slo.* gauges and summarized on stderr"),
+           flags::Unsigned("slo-latency-us", &args.slo_latency_us,
+                           "latency objective per endpoint under --slo, "
+                           "0 = availability only"),
+           flags::String("requests", &args.requests_file, "FILE",
+                         "read request lines from FILE, not stdin"),
+           flags::String("metrics-out", &args.metrics_out, "FILE",
+                         "write the metrics as JSON on exit")})) {
+    return 2;
+  }
+  if (paper) args.small = false;
   // --slo turns the runtime switch on too: burn-rate gauges go through the
   // gated metrics registry, and "track SLOs" without recording them would
   // be a silent no-op.

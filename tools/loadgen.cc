@@ -3,53 +3,32 @@
 // Rebuilds the same synthetic world the server loads (same datagen spec,
 // same seed) and samples realistic traffic from it: ingredient sets drawn
 // from actual recipes, region codes from the world's cuisines. The stream
-// is a pure function of (--seed, --traffic-seed, --count, mix), so a bench
+// is a pure function of (world seed, traffic seed, count, mix), so a bench
 // run is reproducible line for line:
 //
 //   loadgen --small --count=1000 > requests.jsonl
 //   loadgen --small --count=1000 --shutdown | culinary_serve --small
 //
-// Flags:
-//   --small / --paper   world the requests are drawn from (default small;
-//                       must match the server's world for names to resolve)
-//   --seed=N            world seed override (0 = spec default)
-//   --traffic-seed=N    seed of the request stream itself (default 1)
-//   --count=N           number of request lines (default 100)
-//   --k=N               suggestion / neighbor budget (default 5)
-//   --batch=N           wrap every N consecutive queries into one
-//                       {"op":"batch","requests":[...]} envelope (0/1 =
-//                       off). Sub-requests keep their r<i> ids and the
-//                       sampled stream is unchanged — only the framing
-//                       moves, so a batched run answers the same queries
-//                       as an unbatched one. A trailing partial batch is
-//                       flushed; interleaved admin/garbage lines stay
-//                       unbatched (admin is rejected inside a batch)
-//   --out=FILE          write to FILE instead of stdout
-//   --shutdown          append a {"op":"shutdown"} line so a piped server
-//                       exits when the stream ends
+// Batching wraps consecutive queries into {"op":"batch","requests":[...]}
+// envelopes. Sub-requests keep their r<i> ids and the sampled stream is
+// unchanged: only the framing moves, so a batched run answers the same
+// queries as an unbatched one. A trailing partial batch is flushed;
+// interleaved admin and garbage lines stay unbatched (admin is rejected
+// inside a batch).
 //
-// Chaos / overload traffic modes (all deterministic; 0 = off):
-//   --deadline-ms=N     attach "deadline_ms":N to every query so the
-//                       server's deadline-aware admission has something to
-//                       shed against
-//   --reload-every=N    interleave an admin {"op":"reload"} every N
-//                       queries — combined with injected snapshot faults
-//                       this hammers the degraded-reload path under load
-//   --health-every=N    interleave an admin {"op":"health"} every N queries
-//   --garbage-every=N   interleave a malformed (non-JSON) line every N
-//                       queries; the server must reject it at the parser
-//                       and keep serving
+// The chaos modes interleave reload, health and malformed lines every N
+// queries, and a deadline on every query gives the server's deadline-aware
+// admission something to shed against. All of them are deterministic.
 //
 // Mix: 40% score, 30% suggest, 15% fingerprint, 10% similar, 5% ping.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/random.h"
 #include "datagen/world.h"
 #include "recipe/region.h"
@@ -72,74 +51,7 @@ struct LoadgenArgs {
   size_t garbage_every = 0;
   std::string out;
   bool shutdown = false;
-  bool usage_error = false;
 };
-
-bool ParseUint64Value(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
-LoadgenArgs ParseArgs(int argc, char** argv) {
-  LoadgenArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    uint64_t number = 0;
-    if (key == "--small") {
-      args.small = true;
-    } else if (key == "--paper") {
-      args.small = false;
-    } else if (key == "--shutdown") {
-      args.shutdown = true;
-    } else if (key == "--out") {
-      args.out = value;
-    } else if (key == "--seed") {
-      if (!ParseUint64Value(value, &args.seed)) args.usage_error = true;
-    } else if (key == "--traffic-seed") {
-      if (!ParseUint64Value(value, &args.traffic_seed))
-        args.usage_error = true;
-    } else if (key == "--count") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.count = static_cast<size_t>(number);
-    } else if (key == "--k") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.k = static_cast<size_t>(number);
-    } else if (key == "--batch") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      if (number > serving::kMaxWireBatch) {
-        std::fprintf(stderr, "loadgen: --batch=%llu exceeds the wire limit %zu\n",
-                     static_cast<unsigned long long>(number),
-                     serving::kMaxWireBatch);
-        args.usage_error = true;
-      }
-      args.batch = static_cast<size_t>(number);
-    } else if (key == "--deadline-ms") {
-      if (!ParseUint64Value(value, &args.deadline_ms)) args.usage_error = true;
-    } else if (key == "--reload-every") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.reload_every = static_cast<size_t>(number);
-    } else if (key == "--health-every") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.health_every = static_cast<size_t>(number);
-    } else if (key == "--garbage-every") {
-      if (!ParseUint64Value(value, &number)) args.usage_error = true;
-      args.garbage_every = static_cast<size_t>(number);
-    } else {
-      std::fprintf(stderr, "loadgen: unknown flag %s\n", arg.c_str());
-      args.usage_error = true;
-    }
-  }
-  return args;
-}
 
 /// One deterministic request line for index `i`.
 std::string MakeRequest(const datagen::SyntheticWorld& world, Rng& rng,
@@ -187,10 +99,8 @@ std::string MakeRequest(const datagen::SyntheticWorld& world, Rng& rng,
 }
 
 int Run(const LoadgenArgs& args, std::ostream& out) {
-  datagen::WorldSpec spec =
-      args.small ? datagen::WorldSpec::Small() : datagen::WorldSpec::Default();
-  if (args.seed != 0) spec.seed = args.seed;
-  auto world = datagen::GenerateWorld(spec);
+  auto world =
+      datagen::GenerateWorld(datagen::WorldSpec::For(args.small, args.seed));
   if (!world.ok()) {
     std::fprintf(stderr, "loadgen: %s\n",
                  world.status().ToString().c_str());
@@ -252,8 +162,40 @@ int Run(const LoadgenArgs& args, std::ostream& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const LoadgenArgs args = ParseArgs(argc, argv);
-  if (args.usage_error) return 2;
+  LoadgenArgs args;
+  bool paper = false;
+  if (!flags::ParseCommandLine(
+          argc, argv,
+          {flags::Presence("small", &args.small,
+                           "draw from the miniature world (the default)"),
+           flags::Presence("paper", &paper,
+                           "draw from the paper-scale world instead; the "
+                           "server must load the same world"),
+           flags::Unsigned("seed", &args.seed,
+                           "world seed, 0 = the spec's own"),
+           flags::Unsigned("traffic-seed", &args.traffic_seed,
+                           "seed of the request stream"),
+           flags::Unsigned("count", &args.count, "request lines"),
+           flags::Unsigned("k", &args.k, "suggestion and neighbour budget"),
+           flags::Unsigned("batch", &args.batch,
+                           "queries per batch line, 0 or 1 = unbatched", 0,
+                           serving::kMaxWireBatch),
+           flags::Unsigned("deadline-ms", &args.deadline_ms,
+                           "deadline_ms on every query, 0 = none"),
+           flags::Unsigned("reload-every", &args.reload_every,
+                           "a reload line every N queries, 0 = none"),
+           flags::Unsigned("health-every", &args.health_every,
+                           "a health line every N queries, 0 = none"),
+           flags::Unsigned("garbage-every", &args.garbage_every,
+                           "a malformed line every N queries, 0 = none"),
+           flags::String("out", &args.out, "FILE",
+                         "write the stream here instead of stdout"),
+           flags::Presence("shutdown", &args.shutdown,
+                           "end with a shutdown line, so a piped server "
+                           "exits")})) {
+    return 2;
+  }
+  if (paper) args.small = false;
   if (!args.out.empty()) {
     std::ofstream file(args.out);
     if (!file) {
