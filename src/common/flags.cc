@@ -37,9 +37,11 @@ std::string_view Basename(std::string_view path) {
 
 }  // namespace
 
-Flag Presence(std::string name, bool* target, std::string help) {
-  return {std::move(name), "", std::move(help), [target](std::string_view) {
-            *target = true;
+Flag Presence(std::string name, bool* target, std::string help,
+              bool value) {
+  return {std::move(name), "", std::move(help),
+          [target, value](std::string_view) {
+            *target = value;
             return Status::OK();
           }};
 }

@@ -25,8 +25,9 @@ struct Flag {
   std::function<Status(std::string_view)> set;
 };
 
-/// `--name` sets `*target` to true.
-Flag Presence(std::string name, bool* target, std::string help);
+/// `--name` sets `*target` to `value`.
+Flag Presence(std::string name, bool* target, std::string help,
+              bool value = true);
 
 /// `--name=VALUE` stores VALUE, which may be empty.
 Flag String(std::string name, std::string* target, std::string value_name,

@@ -12,6 +12,7 @@ namespace {
 /// A table shaped like an experiment binary's, with every kind of flag.
 struct Fixture {
   bool small = false;
+  bool keep_header = true;
   uint64_t seed = 0;
   size_t null_recipes = 100000;
   uint32_t narrow = 7;
@@ -22,6 +23,8 @@ struct Fixture {
 
   std::vector<Flag> Table() {
     return {Presence("small", &small, "the miniature world"),
+            Presence("corrupt-header", &keep_header, "damage the header",
+                     false),
             Unsigned("seed", &seed, "world seed"),
             Unsigned("null-recipes", &null_recipes, "null recipes per model",
                      2),
@@ -41,11 +44,12 @@ struct Fixture {
 
 TEST(FlagsTest, ParsesEveryKind) {
   Fixture f;
-  ASSERT_TRUE(f.Run({"--small", "--seed=42", "--null-recipes=2",
-                     "--narrow=4294967295", "--rate=0.5",
+  ASSERT_TRUE(f.Run({"--small", "--corrupt-header", "--seed=42",
+                     "--null-recipes=2", "--narrow=4294967295", "--rate=0.5",
                      "--deadline-ms=1e300", "--out=x"})
                   .ok());
   EXPECT_TRUE(f.small);
+  EXPECT_FALSE(f.keep_header);
   EXPECT_EQ(f.seed, 42u);
   EXPECT_EQ(f.null_recipes, 2u);
   EXPECT_EQ(f.narrow, 4294967295u);
@@ -58,6 +62,7 @@ TEST(FlagsTest, AbsentFlagsKeepTheirDefaults) {
   Fixture f;
   ASSERT_TRUE(f.Run({}).ok());
   EXPECT_FALSE(f.small);
+  EXPECT_TRUE(f.keep_header);
   EXPECT_EQ(f.null_recipes, 100000u);
   EXPECT_EQ(f.rate, 0.05);
   EXPECT_EQ(f.out, "world");
@@ -198,7 +203,7 @@ TEST(FlagsTest, UsageListsEveryFlag) {
       Usage("/some/dir/tool", table, {"<in> <out>", 2, 2, &f.positional});
   EXPECT_EQ(usage.rfind("usage: tool <in> <out> [flags]\n", 0), 0u) << usage;
   for (const char* line :
-       {"--small ", "--seed=N ", "--null-recipes=N ", "--narrow=N ",
+       {"--small ", "--corrupt-header ", "--seed=N ", "--null-recipes=N ", "--narrow=N ",
         "--rate=X ", "--deadline-ms=X ", "--out=PREFIX ",
         "null recipes per model, at least 2 (default 100000)",
         "a 32-bit target, at most 4294967295 (default 7)",

@@ -26,39 +26,31 @@ int main(int argc, char** argv) {
 
   ChaosOptions options;
   std::string snapshot_mode;
-  bool no_truncate = false;
-  bool no_quote = false;
-  bool no_bitflip = false;
-  bool no_dup = false;
-  bool no_oversize = false;
-  bool no_ragged = false;
-  bool corrupt_header = false;
   std::vector<std::string> paths;
   const std::vector<flags::Flag> table = {
       flags::Double("rate", &options.corruption_rate,
                     "share of records to damage", 0.0, 1.0),
       flags::Unsigned("seed", &options.seed, "damage schedule seed"),
-      flags::Presence("no-truncate", &no_truncate, "no truncation"),
-      flags::Presence("no-quote", &no_quote, "no unterminated quotes"),
-      flags::Presence("no-bitflip", &no_bitflip, "no bit flips"),
-      flags::Presence("no-dup", &no_dup, "no duplicated records"),
-      flags::Presence("no-oversize", &no_oversize, "no oversized fields"),
-      flags::Presence("no-ragged", &no_ragged, "no ragged rows"),
-      flags::Presence("corrupt-header", &corrupt_header,
-                      "let the header row be damaged too"),
+      flags::Presence("no-truncate", &options.enable_truncation,
+                      "no truncation", false),
+      flags::Presence("no-quote", &options.enable_unterminated_quote,
+                      "no unterminated quotes", false),
+      flags::Presence("no-bitflip", &options.enable_bit_flips, "no bit flips",
+                      false),
+      flags::Presence("no-dup", &options.enable_duplicate_lines,
+                      "no duplicated records", false),
+      flags::Presence("no-oversize", &options.enable_oversized_fields,
+                      "no oversized fields", false),
+      flags::Presence("no-ragged", &options.enable_ragged_rows,
+                      "no ragged rows", false),
+      flags::Presence("corrupt-header", &options.preserve_header,
+                      "let the header row be damaged too", false),
       flags::String("snapshot-mode", &snapshot_mode, "MODE",
                     "damage a world snapshot instead: flip-magic, "
                     "zero-section-checksum, truncate-mid-section, "
                     "bitflip-payload or wrong-digest")};
   const flags::Positionals in_out{"<in> <out>", 2, 2, &paths};
   if (!flags::ParseCommandLine(argc, argv, table, in_out)) return 2;
-  options.enable_truncation = !no_truncate;
-  options.enable_unterminated_quote = !no_quote;
-  options.enable_bit_flips = !no_bitflip;
-  options.enable_duplicate_lines = !no_dup;
-  options.enable_oversized_fields = !no_oversize;
-  options.enable_ragged_rows = !no_ragged;
-  options.preserve_header = !corrupt_header;
   const std::string& in_path = paths[0];
   const std::string& out_path = paths[1];
 
