@@ -130,10 +130,9 @@ Status Parse(const std::vector<std::string_view>& args,
       return Status::InvalidArgument("unknown flag " + std::string(arg));
     }
     const std::string flag = "--" + it->name;
-    if (seen[static_cast<size_t>(it - table.begin())]) {
-      return Status::InvalidArgument("repeated flag " + flag);
-    }
-    seen[static_cast<size_t>(it - table.begin())] = true;
+    const auto index = static_cast<size_t>(it - table.begin());
+    if (seen[index]) return Status::InvalidArgument("repeated flag " + flag);
+    seen[index] = true;
     const bool has_value = eq != std::string_view::npos;
     if (it->value_name.empty() && has_value) {
       return Status::InvalidArgument(std::string(arg) + ": " + flag +
@@ -177,12 +176,15 @@ std::string Usage(std::string_view program, const std::vector<Flag>& table,
 
 bool ParseCommandLine(int argc, char** argv, const std::vector<Flag>& table,
                       const Positionals& positionals) {
-  const std::vector<std::string_view> args(argv + 1, argv + argc);
+  // A process can be started with no argv[0] at all (argc == 0).
+  const std::string_view program = argc > 0 ? argv[0] : "";
+  const std::vector<std::string_view> args(argv + std::min(argc, 1),
+                                           argv + argc);
   const Status status = Parse(args, table, positionals);
   if (status.ok()) return true;
-  std::fprintf(stderr, "%s: %s\n%s", std::string(Basename(argv[0])).c_str(),
+  std::fprintf(stderr, "%s: %s\n%s", std::string(Basename(program)).c_str(),
                status.message().c_str(),
-               Usage(argv[0], table, positionals).c_str());
+               Usage(program, table, positionals).c_str());
   return false;
 }
 
