@@ -17,11 +17,11 @@
 // 256-deep admission queue is shed with Unavailable.
 //
 // Admin ops on the wire: {"op":"reload"} rebuilds the world from the same
-// source through the hardened reload path (3 attempts, then a circuit
-// breaker that opens after 3 failed reloads for 1 s; a failed reload leaves
-// the engine serving its last good snapshot in "degraded") and RCU-swaps it
-// in; {"op":"health"} reports the health state, generation and counters;
-// {"op":"shutdown"} drains and exits 0.
+// source through the hardened reload path (up to 3 attempts per reload; 3
+// failed reloads in a row open a circuit breaker for 1 s; a failed reload
+// leaves the engine serving its last good snapshot in "degraded") and
+// RCU-swaps it in; {"op":"health"} reports the health state, generation
+// and counters; {"op":"shutdown"} drains and exits 0.
 //
 // SIGINT/SIGTERM likewise drain gracefully: admission closes (kDraining),
 // in-flight requests finish, metrics are flushed, exit status 0.
