@@ -31,6 +31,7 @@ function(run_case named)
     ERROR_VARIABLE log
     RESULT_VARIABLE code
     TIMEOUT 120)
+  string(JOIN " " command_line ${ARGS} ${ARGN})
   set(why "")
   if(NOT code STREQUAL EXIT)
     set(why "exited ${code}, expected ${EXIT}")
@@ -44,9 +45,10 @@ function(run_case named)
     endif()
   endif()
   if(why)
-    set(failures "${failures}\n  ${ARGS} ${ARGN}: ${why}\n${log}" PARENT_SCOPE)
+    set(failures "${failures}\n  ${command_line}: ${why}\n${log}"
+      PARENT_SCOPE)
   else()
-    message(STATUS "expect_exit: ${ARGS} ${ARGN} -> ${code}")
+    message(STATUS "expect_exit: ${command_line} -> ${code}")
   endif()
 endfunction()
 
