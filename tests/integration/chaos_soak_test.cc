@@ -6,8 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include "recipe/database.h"
 #include "robustness/chaos.h"
 #include "robustness/error_sink.h"
+#include "snapshot/format.h"
 
 namespace culinary {
 namespace {
@@ -200,6 +206,143 @@ TEST_F(ChaosSoakTest, BestEffortKeepsAtLeastAsMuchAsSkip) {
   size_t best = load(ErrorPolicy::kBestEffort);
   EXPECT_GE(best, skip);
   EXPECT_GT(skip, 0u);
+}
+
+/// FNV-1a over `lines`, each newline-terminated, as 16 hex digits.
+std::string DigestLines(const std::vector<std::string>& lines) {
+  uint64_t hash = snapshot::kFnvOffsetBasis;
+  for (const std::string& line : lines) {
+    hash = snapshot::Fnv64Continue(hash, line.data(), line.size());
+    hash = snapshot::Fnv64Continue(hash, "\n", 1);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, hash);
+  return hex;
+}
+
+/// The sink's diagnostics in sorted order: the CSV layer may report a
+/// file's tokenizer and width errors in either order.
+std::string SortedDiagnosticsDigest(const ErrorSink& sink) {
+  std::vector<std::string> lines;
+  for (const robustness::Diagnostic& d : sink.diagnostics()) {
+    lines.push_back(d.ToString());
+  }
+  std::sort(lines.begin(), lines.end());
+  return DigestLines(lines);
+}
+
+std::string CountsByCode(const ErrorSink& sink) {
+  std::string out;
+  for (const auto& [code, count] : sink.counts_by_code()) {
+    out += std::string(StatusCodeToString(code)) + "=" +
+           std::to_string(count) + " ";
+  }
+  return out;
+}
+
+/// Every molecule and every ingredient slot (tombstones included) with the
+/// fields the registry CSV carries.
+std::string RegistryDigest(const flavor::FlavorRegistry& registry) {
+  std::vector<std::string> lines;
+  for (size_t m = 0; m < registry.num_molecules(); ++m) {
+    auto mol = registry.GetMolecule(static_cast<flavor::MoleculeId>(m));
+    lines.push_back(std::to_string(m) + "," + mol->name);
+  }
+  for (size_t i = 0; i < registry.num_ingredient_slots(); ++i) {
+    auto ing = registry.GetIngredient(static_cast<flavor::IngredientId>(i),
+                                      /*include_removed=*/true);
+    std::ostringstream os;
+    os << ing->id << ',' << ing->name << ','
+       << flavor::CategoryToString(ing->category) << ','
+       << static_cast<int>(ing->kind) << ',' << ing->removed << ',';
+    for (flavor::MoleculeId m : ing->profile.ids()) os << m << ';';
+    os << ',';
+    for (flavor::IngredientId c : ing->constituents) os << c << ';';
+    lines.push_back(os.str());
+  }
+  return DigestLines(lines);
+}
+
+std::string RecipesDigest(const recipe::RecipeDatabase& db) {
+  std::vector<std::string> lines;
+  for (const recipe::Recipe& r : db.recipes()) {
+    std::string line(recipe::RegionCode(r.region));
+    for (flavor::IngredientId id : r.ingredients) {
+      line += "," + std::to_string(id);
+    }
+    lines.push_back(std::move(line));
+  }
+  return DigestLines(lines);
+}
+
+/// What the degraded loaders return on the soak corpus, per policy.
+struct PinnedIngest {
+  ErrorPolicy policy;
+  // Registry: merged IngestStats over both files, then the sink.
+  size_t registry_total, registry_ok, registry_quarantined;
+  size_t registry_diagnostics;
+  const char* registry_codes;
+  const char* registry_diagnostics_digest;
+  const char* registry_digest;
+  // Recipes, loaded against that registry: IngestReport, then the sink.
+  size_t records_total, records_ok, records_quarantined;
+  size_t rows_loaded, rows_quarantined, names_dropped;
+  size_t recipe_diagnostics;
+  const char* recipe_codes;
+  const char* recipe_diagnostics_digest;
+  const char* recipes_digest;
+};
+
+TEST_F(ChaosSoakTest, DegradedLoadsReturnPinnedRecordsAndDiagnostics) {
+  const PinnedIngest kPins[] = {
+      {ErrorPolicy::kSkipAndReport, 880, 838, 42, 42, "ParseError=42 ",
+       "a0b46133bcaa0b9b", "89e9de6faf86f4c5", 1996, 1952, 44, 1949, 3, 441,
+       47, "ParseError=47 ", "5b521198b2261f12", "e3006b14533dea3f"},
+      {ErrorPolicy::kBestEffort, 880, 866, 14, 44, "ParseError=44 ",
+       "d50226c6291efdc9", "c2cceecd1c5d2233", 1996, 1995, 1, 1979, 16, 85,
+       60, "ParseError=60 ", "c40009e70ddd92e8", "66ced4520674b973"},
+  };
+  for (const PinnedIngest& pin : kPins) {
+    SCOPED_TRACE(std::string(robustness::ErrorPolicyToString(pin.policy)));
+    ErrorSink registry_sink(1 << 20);
+    robustness::IngestStats registry_stats;
+    flavor::RegistryLoadOptions reg_options;
+    reg_options.error_policy = pin.policy;
+    reg_options.error_sink = &registry_sink;
+    reg_options.stats = &registry_stats;
+    auto registry = flavor::LoadRegistryCsv(*prefix_ + "_reg", reg_options);
+    ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+    EXPECT_EQ(registry_stats.records_total, pin.registry_total);
+    EXPECT_EQ(registry_stats.records_ok, pin.registry_ok);
+    EXPECT_EQ(registry_stats.records_quarantined, pin.registry_quarantined);
+    EXPECT_EQ(registry_sink.dropped(), 0u);
+    EXPECT_EQ(registry_sink.total(), pin.registry_diagnostics);
+    EXPECT_EQ(CountsByCode(registry_sink), pin.registry_codes);
+    EXPECT_EQ(SortedDiagnosticsDigest(registry_sink),
+              pin.registry_diagnostics_digest);
+    EXPECT_EQ(RegistryDigest(*registry), pin.registry_digest);
+
+    ErrorSink recipe_sink(1 << 20);
+    recipe::IngestOptions options;
+    options.error_policy = pin.policy;
+    options.error_sink = &recipe_sink;
+    recipe::IngestReport report;
+    auto db = recipe::RecipeDatabase::LoadCsv(
+        *prefix_ + "_recipes.csv", &registry.value(), options, &report);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(report.records.records_total, pin.records_total);
+    EXPECT_EQ(report.records.records_ok, pin.records_ok);
+    EXPECT_EQ(report.records.records_quarantined, pin.records_quarantined);
+    EXPECT_EQ(report.rows_loaded, pin.rows_loaded);
+    EXPECT_EQ(report.rows_quarantined, pin.rows_quarantined);
+    EXPECT_EQ(report.ingredient_names_dropped, pin.names_dropped);
+    EXPECT_EQ(recipe_sink.dropped(), 0u);
+    EXPECT_EQ(recipe_sink.total(), pin.recipe_diagnostics);
+    EXPECT_EQ(CountsByCode(recipe_sink), pin.recipe_codes);
+    EXPECT_EQ(SortedDiagnosticsDigest(recipe_sink),
+              pin.recipe_diagnostics_digest);
+    EXPECT_EQ(RecipesDigest(*db), pin.recipes_digest);
+  }
 }
 
 }  // namespace
