@@ -1,14 +1,12 @@
 #include "dataframe/csv.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <vector>
 
 #include "common/atomic_file.h"
-#include "common/string_util.h"
 #include "robustness/fault_injector.h"
 
 namespace culinary::df {
@@ -19,41 +17,36 @@ using robustness::ErrorPolicy;
 using robustness::ErrorSink;
 using robustness::FaultInjector;
 
-struct RawField {
-  std::string text;
-  bool quoted = false;
-};
-
-using RawRecord = std::vector<RawField>;
-
-/// Tokenizer output: the records plus, per record, the 1-based source line
-/// it starts on (for diagnostics), and the count of records the degraded
-/// policies had to drop at the tokenizer level.
-struct TokenizeOutput {
-  std::vector<RawRecord> records;
-  std::vector<size_t> record_lines;
-  size_t dropped_records = 0;
-};
-
 void ReportOrCount(ErrorSink* sink, size_t line, size_t column,
-                   std::string message, std::string snippet) {
+                   std::string message, std::string_view snippet) {
   if (sink != nullptr) {
     sink->Report(line, column, StatusCode::kParseError, std::move(message),
-                 std::move(snippet));
+                 std::string(snippet));
   }
 }
 
-/// Splits `text` into records of fields per RFC 4180, tracking line and
-/// column. Under `kStrict` the first structural error (garbage after a
-/// closing quote, unterminated quote at EOF) returns a ParseError naming
-/// line and column; under the degraded policies the damaged record is
-/// dropped with a diagnostic and scanning resumes at the next newline.
-culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
-                                          char delimiter, ErrorPolicy policy,
-                                          ErrorSink* sink) {
-  TokenizeOutput out;
-  RawRecord record;
-  RawField field;
+/// A field of the in-flight record: its bytes in the record buffer (quotes
+/// undone) and whether it was quoted.
+struct FieldSpan {
+  size_t begin = 0;
+  size_t end = 0;
+  bool quoted = false;
+};
+
+}  // namespace
+
+culinary::Status ForEachCsvRecord(std::string_view text,
+                                  const CsvReadOptions& options,
+                                  const CsvRecordFn& fn) {
+  const ErrorPolicy policy = options.error_policy;
+  ErrorSink* const sink = options.error_sink;
+  robustness::IngestStats stats;
+  size_t width = 0;  // the header's field count; 0 until it is read
+
+  std::string buffer;  // the in-flight record's field bytes
+  std::vector<FieldSpan> spans;
+  std::vector<CsvField> fields;
+  FieldSpan field;
   enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
   State state = State::kFieldStart;
   size_t line = 1;
@@ -61,26 +54,87 @@ culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
   size_t record_line = 1;    // line the in-flight record started on
   size_t quote_line = 0;     // position of the last opening quote
   size_t quote_column = 0;
+  size_t excess_line = 0;    // where the first field past the header's
+  size_t excess_column = 0;  // width starts
 
   auto end_field = [&]() {
-    record.push_back(std::move(field));
-    field = RawField{};
+    field.end = buffer.size();
+    spans.push_back(field);
+    field = FieldSpan{buffer.size(), buffer.size(), false};
   };
-  auto end_record = [&]() {
+  // A delimiter ends a field; the one that opens a field past the header's
+  // width marks where a too-wide record goes wrong.
+  auto end_delimited_field = [&]() {
     end_field();
-    out.records.push_back(std::move(record));
-    out.record_lines.push_back(record_line);
-    record = RawRecord{};
+    if (spans.size() == width) {
+      excess_line = line;
+      excess_column = column + 1;
+    }
+  };
+  auto clear_record = [&]() {
+    buffer.clear();
+    spans.clear();
+    field = FieldSpan{};
   };
   auto drop_record = [&]() {
-    record.clear();
-    field = RawField{};
-    ++out.dropped_records;
+    clear_record();
+    ++stats.records_total;
+    ++stats.records_quarantined;
+  };
+  // Checks the finished record's width and hands it to `fn`; `column` is
+  // where the record ends.
+  auto end_record = [&]() -> culinary::Status {
+    end_field();
+    if (width == 0) {
+      width = spans.size();
+    } else {
+      ++stats.records_total;
+      if (spans.size() != width) {
+        std::string message = "record at line " + std::to_string(record_line) +
+                              " has " + std::to_string(spans.size()) +
+                              " fields, expected " + std::to_string(width);
+        if (policy == ErrorPolicy::kStrict) {
+          const bool wide = spans.size() > width;
+          return culinary::Status::ParseError(
+              message + "; " +
+              (wide ? "field " + std::to_string(width + 1) + " starts"
+                    : std::string("the record ends")) +
+              " at line " + std::to_string(wide ? excess_line : line) +
+              ", column " + std::to_string(wide ? excess_column : column));
+        }
+        ReportOrCount(sink, record_line, 0, std::move(message),
+                      std::string_view(buffer).substr(
+                          spans[0].begin, spans[0].end - spans[0].begin));
+        if (policy == ErrorPolicy::kSkipAndReport) {
+          ++stats.records_quarantined;
+          clear_record();
+          return culinary::Status::OK();
+        }
+        spans.resize(width, FieldSpan{buffer.size(), buffer.size(), false});
+      }
+      ++stats.records_ok;
+    }
+    fields.clear();
+    for (const FieldSpan& f : spans) {
+      if (f.quoted || f.end > f.begin) {
+        fields.emplace_back(
+            std::string_view(buffer).substr(f.begin, f.end - f.begin));
+      } else {
+        fields.emplace_back(std::nullopt);
+      }
+    }
+    culinary::Status status = fn(record_line, fields);
+    clear_record();
+    return status;
+  };
+  auto end_line = [&]() {
+    ++line;
+    column = 0;
+    record_line = line;
   };
 
-  size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
     ++column;
     switch (state) {
       case State::kFieldStart:
@@ -89,36 +143,30 @@ culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
           quote_line = line;
           quote_column = column;
           state = State::kQuoted;
-        } else if (c == delimiter) {
-          end_field();
+        } else if (c == ',') {
+          end_delimited_field();
         } else if (c == '\n') {
-          end_record();
-          ++line;
-          column = 0;
-          record_line = line;
-        } else if (c == '\r') {
-          // swallow; newline handled next iteration
-        } else {
-          field.text.push_back(c);
+          CULINARY_RETURN_IF_ERROR(end_record());
+          end_line();
+        } else if (c != '\r') {  // a \r is swallowed; \n ends the record
+          buffer.push_back(c);
           state = State::kUnquoted;
         }
         break;
       case State::kUnquoted:
-        if (c == delimiter) {
-          end_field();
+        if (c == ',') {
+          end_delimited_field();
           state = State::kFieldStart;
         } else if (c == '\n') {
           // Strip a trailing \r from \r\n records.
-          if (!field.text.empty() && field.text.back() == '\r') {
-            field.text.pop_back();
+          if (buffer.size() > field.begin && buffer.back() == '\r') {
+            buffer.pop_back();
           }
-          end_record();
-          ++line;
-          column = 0;
-          record_line = line;
+          CULINARY_RETURN_IF_ERROR(end_record());
+          end_line();
           state = State::kFieldStart;
         } else {
-          field.text.push_back(c);
+          buffer.push_back(c);
         }
         break;
       case State::kQuoted:
@@ -129,25 +177,21 @@ culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
             ++line;
             column = 0;
           }
-          field.text.push_back(c);
+          buffer.push_back(c);
         }
         break;
       case State::kQuoteInQuoted:
         if (c == '"') {
-          field.text.push_back('"');  // escaped quote
+          buffer.push_back('"');  // escaped quote
           state = State::kQuoted;
-        } else if (c == delimiter) {
-          end_field();
+        } else if (c == ',') {
+          end_delimited_field();
           state = State::kFieldStart;
         } else if (c == '\n') {
-          end_record();
-          ++line;
-          column = 0;
-          record_line = line;
+          CULINARY_RETURN_IF_ERROR(end_record());
+          end_line();
           state = State::kFieldStart;
-        } else if (c == '\r') {
-          // part of \r\n after closing quote; swallow
-        } else {
+        } else if (c != '\r') {  // \r of a \r\n after the closing quote
           std::string message =
               "unexpected character after closing quote at line " +
               std::to_string(line) + ", column " + std::to_string(column);
@@ -155,20 +199,15 @@ culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
             return culinary::Status::ParseError(std::move(message));
           }
           ReportOrCount(sink, line, column, std::move(message),
-                        std::string(1, c));
+                        std::string_view(&c, 1));
           // Resync: drop the damaged record and skip to the next newline.
           drop_record();
           while (i < text.size() && text[i] != '\n') ++i;
-          if (i < text.size()) {
-            ++line;
-            column = 0;
-            record_line = line;
-          }
+          if (i < text.size()) end_line();
           state = State::kFieldStart;
         }
         break;
     }
-    ++i;
   }
 
   if (state == State::kQuoted) {
@@ -178,171 +217,43 @@ culinary::Result<TokenizeOutput> Tokenize(std::string_view text,
     if (policy == ErrorPolicy::kStrict) {
       return culinary::Status::ParseError(std::move(message));
     }
-    std::string snippet = field.text.substr(0, ErrorSink::kMaxSnippetBytes);
     ReportOrCount(sink, quote_line, quote_column, std::move(message),
-                  std::move(snippet));
+                  std::string_view(buffer).substr(
+                      field.begin, ErrorSink::kMaxSnippetBytes));
     drop_record();
-    return out;
+  } else if (state != State::kFieldStart || !spans.empty()) {
+    // A final record without trailing newline (a \r straggler from an
+    // unterminated \r\n is stripped); it ends one past its last character.
+    if (state == State::kUnquoted && buffer.size() > field.begin &&
+        buffer.back() == '\r') {
+      buffer.pop_back();
+    }
+    ++column;
+    CULINARY_RETURN_IF_ERROR(end_record());
   }
-  // Flush a final record without trailing newline (a \r straggler from an
-  // unterminated \r\n is stripped).
-  if (state == State::kUnquoted && !field.text.empty() &&
-      field.text.back() == '\r') {
-    field.text.pop_back();
-  }
-  if (state != State::kFieldStart || !field.text.empty() || field.quoted ||
-      !record.empty()) {
-    end_record();
-  }
-  return out;
+  if (width == 0) return culinary::Status::ParseError("empty CSV input");
+  if (options.stats != nullptr) *options.stats = stats;
+  return culinary::Status::OK();
 }
 
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
+culinary::Result<std::vector<size_t>> FindCsvColumns(
+    std::span<const CsvField> header,
+    std::initializer_list<std::string_view> names) {
+  std::vector<size_t> columns;
+  for (std::string_view name : names) {
+    const auto it = std::find(header.begin(), header.end(), CsvField(name));
+    if (it == header.end()) {
+      return culinary::Status::ParseError("missing column '" +
+                                          std::string(name) + "'");
+    }
+    columns.push_back(static_cast<size_t>(it - header.begin()));
+  }
+  return columns;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
-culinary::Result<Table> ReadCsvString(std::string_view text,
-                                      const CsvReadOptions& options) {
-  CULINARY_ASSIGN_OR_RETURN(
-      TokenizeOutput tokenized,
-      Tokenize(text, options.delimiter, options.error_policy,
-               options.error_sink));
-  std::vector<RawRecord>& records = tokenized.records;
-  if (records.empty()) {
-    return culinary::Status::ParseError("empty CSV input");
-  }
-
-  const size_t num_cols = records[0].size();
-  std::vector<std::string> names;
-  size_t first_data = 0;
-  if (options.has_header) {
-    for (const RawField& f : records[0]) names.push_back(f.text);
-    first_data = 1;
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) names.push_back("c" + std::to_string(c));
-  }
-
-  // Width-check every data record. Strict fails fast; skip-and-report
-  // quarantines; best-effort pads short rows with nulls and truncates long
-  // ones, keeping the record.
-  std::vector<size_t> kept;
-  kept.reserve(records.size() - first_data);
-  size_t quarantined = tokenized.dropped_records;
-  for (size_t r = first_data; r < records.size(); ++r) {
-    if (records[r].size() == num_cols) {
-      kept.push_back(r);
-      continue;
-    }
-    const size_t record_line = tokenized.record_lines[r];
-    std::string message = "record at line " + std::to_string(record_line) +
-                          " has " + std::to_string(records[r].size()) +
-                          " fields, expected " + std::to_string(num_cols);
-    if (options.error_policy == ErrorPolicy::kStrict) {
-      return culinary::Status::ParseError(std::move(message));
-    }
-    std::string snippet =
-        records[r].empty() ? std::string() : records[r][0].text;
-    ReportOrCount(options.error_sink, record_line, 0, std::move(message),
-                  std::move(snippet));
-    if (options.error_policy == ErrorPolicy::kBestEffort) {
-      records[r].resize(num_cols);  // pads with unquoted empty fields
-      kept.push_back(r);
-    } else {
-      ++quarantined;
-    }
-  }
-
-  if (options.stats != nullptr) {
-    options.stats->records_total =
-        (records.size() - first_data) + tokenized.dropped_records;
-    options.stats->records_ok = kept.size();
-    options.stats->records_quarantined = quarantined;
-  }
-
-  auto is_null = [&](const RawField& f) {
-    return options.empty_as_null && !f.quoted && f.text.empty();
-  };
-
-  // Infer per-column types over non-null fields of kept records.
-  std::vector<DataType> types(num_cols, DataType::kString);
-  if (options.infer_types) {
-    for (size_t c = 0; c < num_cols; ++c) {
-      bool all_int = true, all_double = true, any_value = false;
-      for (size_t r : kept) {
-        const RawField& f = records[r][c];
-        if (is_null(f)) continue;
-        any_value = true;
-        int64_t iv;
-        double dv;
-        if (all_int && !ParseInt64(f.text, &iv)) all_int = false;
-        if (all_double && !ParseDouble(f.text, &dv)) all_double = false;
-        if (!all_double) break;
-      }
-      if (any_value && all_int) {
-        types[c] = DataType::kInt64;
-      } else if (any_value && all_double) {
-        types[c] = DataType::kDouble;
-      }
-    }
-  }
-
-  std::vector<Field> fields;
-  for (size_t c = 0; c < num_cols; ++c) fields.push_back({names[c], types[c]});
-  CULINARY_ASSIGN_OR_RETURN(Table table, Table::Make(Schema(std::move(fields))));
-  table.Reserve(kept.size());
-
-  for (size_t r : kept) {
-    std::vector<Value> row;
-    row.reserve(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      const RawField& f = records[r][c];
-      if (is_null(f)) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (types[c]) {
-        case DataType::kInt64: {
-          int64_t v = 0;
-          ParseInt64(f.text, &v);
-          row.push_back(Value::Int(v));
-          break;
-        }
-        case DataType::kDouble: {
-          double v = 0;
-          ParseDouble(f.text, &v);
-          row.push_back(Value::Real(v));
-          break;
-        }
-        case DataType::kString:
-          row.push_back(Value::Str(f.text));
-          break;
-      }
-    }
-    CULINARY_RETURN_IF_ERROR(table.AppendRow(row));
-  }
-  return table;
-}
-
-culinary::Result<Table> ReadCsvFile(const std::string& path,
-                                    const CsvReadOptions& options) {
+culinary::Status ForEachCsvFileRecord(const std::string& path,
+                                      const CsvReadOptions& options,
+                                      const CsvRecordFn& fn) {
   CULINARY_RETURN_IF_ERROR(FaultInjector::Global()
                                .Check(robustness::kFaultCsvOpen)
                                .WithContext("opening " + path));
@@ -350,23 +261,28 @@ culinary::Result<Table> ReadCsvFile(const std::string& path,
   if (!in) {
     return culinary::Status::IOError("cannot open file: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (size_error) {
+    return culinary::Status::IOError("cannot size file: " + path + ": " +
+                                     size_error.message());
+  }
+  std::string text(size, '\0');
+  if (!in.read(text.data(), static_cast<std::streamsize>(size))) {
     return culinary::Status::IOError("error reading file: " + path);
   }
   CULINARY_RETURN_IF_ERROR(FaultInjector::Global()
                                .Check(robustness::kFaultCsvRead)
                                .WithContext("reading " + path));
-  return ReadCsvString(buf.str(), options);
+  return ForEachCsvRecord(text, options, fn);
 }
 
 namespace {
 
-void WriteField(std::string& out, std::string_view text, char delimiter) {
+void WriteField(std::string& out, std::string_view text) {
   bool needs_quotes = false;
   for (char c : text) {
-    if (c == delimiter || c == '"' || c == '\n' || c == '\r') {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
       needs_quotes = true;
       break;
     }
@@ -385,8 +301,7 @@ void WriteField(std::string& out, std::string_view text, char delimiter) {
 
 /// Streams `table` as CSV into `path` verbatim (no temp file).
 culinary::Status WriteCsvFileDirect(const Table& table,
-                                    const std::string& path,
-                                    const CsvWriteOptions& options) {
+                                    const std::string& path) {
   CULINARY_RETURN_IF_ERROR(FaultInjector::Global()
                                .Check(robustness::kFaultCsvOpenWrite)
                                .WithContext("opening for write " + path));
@@ -394,7 +309,7 @@ culinary::Status WriteCsvFileDirect(const Table& table,
   if (!out) {
     return culinary::Status::IOError("cannot open file for write: " + path);
   }
-  out << WriteCsvString(table, options);
+  out << WriteCsvString(table);
   out.flush();
   if (!out) {
     return culinary::Status::IOError("error writing file: " + path);
@@ -408,29 +323,26 @@ culinary::Status WriteCsvFileDirect(const Table& table,
 
 }  // namespace
 
-std::string WriteCsvString(const Table& table, const CsvWriteOptions& options) {
+std::string WriteCsvString(const Table& table) {
   std::string out;
   const size_t cols = table.num_columns();
-  if (options.write_header) {
-    for (size_t c = 0; c < cols; ++c) {
-      if (c > 0) out.push_back(options.delimiter);
-      WriteField(out, table.schema().field(c).name, options.delimiter);
-    }
-    out.push_back('\n');
+  for (size_t c = 0; c < cols; ++c) {
+    if (c > 0) out.push_back(',');
+    WriteField(out, table.schema().field(c).name);
   }
+  out.push_back('\n');
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < cols; ++c) {
-      if (c > 0) out.push_back(options.delimiter);
+      if (c > 0) out.push_back(',');
       Value v = table.GetValue(r, c);
-      if (v.is_null()) {
-        out.append(options.null_literal);
-      } else if (v.is_double()) {
+      if (v.is_null()) continue;
+      if (v.is_double()) {
         // Round-trippable formatting (Value::ToString truncates for display).
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.17g", v.as_double());
-        WriteField(out, buf, options.delimiter);
+        WriteField(out, buf);
       } else {
-        WriteField(out, v.ToString(), options.delimiter);
+        WriteField(out, v.ToString());
       }
     }
     out.push_back('\n');
@@ -441,7 +353,7 @@ std::string WriteCsvString(const Table& table, const CsvWriteOptions& options) {
 culinary::Status WriteCsvFile(const Table& table, const std::string& path,
                               const CsvWriteOptions& options) {
   if (!options.atomic_write) {
-    return WriteCsvFileDirect(table, path, options);
+    return WriteCsvFileDirect(table, path);
   }
   // Crash-safe via the shared helper: temp + fsync + rename + directory
   // fsync. The fault hook maps the helper's step boundaries onto the
@@ -466,7 +378,7 @@ culinary::Status WriteCsvFile(const Table& table, const std::string& path,
     }
     return culinary::Status::OK();
   };
-  return WriteFileAtomic(path, WriteCsvString(table, options), atomic);
+  return WriteFileAtomic(path, WriteCsvString(table), atomic);
 }
 
 }  // namespace culinary::df

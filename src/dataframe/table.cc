@@ -80,18 +80,4 @@ culinary::Status Table::AppendRow(const std::vector<Value>& values) {
   return culinary::Status::OK();
 }
 
-culinary::Result<Value> Table::GetValueChecked(size_t row,
-                                               std::string_view column) const {
-  auto idx = schema_.FieldIndex(column);
-  if (!idx.has_value()) {
-    return culinary::Status::NotFound("no column named '" +
-                                      std::string(column) + "'");
-  }
-  if (row >= num_rows()) {
-    return culinary::Status::OutOfRange("row " + std::to_string(row) +
-                                        " >= " + std::to_string(num_rows()));
-  }
-  return columns_[*idx]->GetValue(row);
-}
-
 }  // namespace culinary::df

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -49,13 +48,10 @@ class Table {
     for (const ColumnPtr& col : columns_) col->Reserve(rows);
   }
 
-  /// Cell accessor: `GetValue(row, col)`; bounds-checked variant returns
-  /// OutOfRange / NotFound as appropriate.
+  /// Cell accessor; bounds-unchecked.
   Value GetValue(size_t row, size_t col) const {
     return columns_[col]->GetValue(row);
   }
-  culinary::Result<Value> GetValueChecked(size_t row,
-                                          std::string_view column) const;
 
  private:
   Table(Schema schema, std::vector<ColumnPtr> columns)

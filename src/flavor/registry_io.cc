@@ -152,17 +152,14 @@ culinary::Status SaveRegistryCsv(const FlavorRegistry& registry,
 
 namespace {
 
-/// Parses an integer cell read with type inference disabled into T; a
-/// number outside T's range is an error, never a wrapped id.
+/// Parses a whole cell (surrounding blanks aside) as a T; a number outside
+/// T's range is an error, never a wrapped id.
 template <typename T>
-culinary::Result<T> CellToInt(const df::Value& v) {
+culinary::Result<T> CellToInt(std::string_view cell) {
   int64_t wide = 0;
-  if (v.is_int()) {
-    wide = v.as_int();
-  } else if (!v.is_string() ||
-             !ParseWholeInt(culinary::Trim(v.as_string()), &wide)) {
+  if (!ParseWholeInt(culinary::Trim(cell), &wide)) {
     return culinary::Status::ParseError("expected integer cell, got " +
-                                        v.ToString());
+                                        std::string(cell));
   }
   if (!std::in_range<T>(wide)) {
     return culinary::Status::ParseError("integer cell " +
@@ -179,18 +176,22 @@ struct LoadContext {
   FlavorRegistry registry;
   ErrorPolicy policy = ErrorPolicy::kStrict;
   ErrorSink* sink = nullptr;
-  IngestStats row_stats;
+  size_t rows_quarantined = 0;
+  // The file being read: its name in diagnostics, its columns in lookup
+  // order, and the index of the data row being loaded among its records.
+  std::string_view file;
+  std::vector<size_t> columns;
+  size_t row = 0;
 
   bool strict() const { return policy == ErrorPolicy::kStrict; }
   bool best_effort() const { return policy == ErrorPolicy::kBestEffort; }
 
-  void Report(size_t row, const culinary::Status& why, std::string snippet,
-              std::string_view file) {
+  void Report(const culinary::Status& why, std::string_view snippet) {
     if (sink != nullptr) {
       sink->Report(/*line=*/row + 2, /*column=*/0, why.code(),
                    std::string(file) + " row " + std::to_string(row) + ": " +
                        why.message(),
-                   std::move(snippet));
+                   std::string(snippet));
     }
   }
 
@@ -226,22 +227,26 @@ struct LoadContext {
   }
 };
 
+/// Each file's columns, in the order `LoadRegistryCsv` looks them up.
+enum MoleculeColumn { kMoleculeId, kMoleculeName, kDescriptors };
+enum EntityColumn {
+  kId, kName, kCategory, kKind, kRemoved, kSynonyms, kProfile, kConstituents
+};
+
 /// Parses and restores one molecule row; the returned status is the row's
 /// verdict (the caller quarantines on error in degraded mode).
-culinary::Status LoadMoleculeRow(LoadContext& ctx, const df::Table& molecules,
-                                 size_t r) {
-  CULINARY_ASSIGN_OR_RETURN(df::Value id_v, molecules.GetValueChecked(r, "id"));
-  CULINARY_ASSIGN_OR_RETURN(df::Value name_v,
-                            molecules.GetValueChecked(r, "name"));
-  if (id_v.is_null() || name_v.is_null()) {
+culinary::Status LoadMoleculeRow(LoadContext& ctx,
+                                 std::span<const df::CsvField> fields) {
+  auto cell = [&](MoleculeColumn c) -> const df::CsvField& {
+    return fields[ctx.columns[c]];
+  };
+  if (!cell(kMoleculeId) || !cell(kMoleculeName)) {
     return culinary::Status::ParseError("null molecule row");
   }
-  CULINARY_ASSIGN_OR_RETURN(MoleculeId mol_id, CellToInt<MoleculeId>(id_v));
+  CULINARY_ASSIGN_OR_RETURN(MoleculeId mol_id,
+                            CellToInt<MoleculeId>(*cell(kMoleculeId)));
   std::vector<std::string> descriptors;
-  auto desc_v = molecules.GetValueChecked(r, "descriptors");
-  if (desc_v.ok() && !desc_v->is_null() && desc_v->is_string()) {
-    descriptors = SplitNonEmpty(desc_v->as_string());
-  }
+  if (cell(kDescriptors)) descriptors = SplitNonEmpty(*cell(kDescriptors));
   const auto next_id = static_cast<int64_t>(ctx.registry.num_molecules());
   if (mol_id != next_id) {
     if (ctx.strict()) {
@@ -257,126 +262,148 @@ culinary::Status LoadMoleculeRow(LoadContext& ctx, const df::Table& molecules,
     // Gap: earlier rows were lost; keep the id space aligned.
     CULINARY_RETURN_IF_ERROR(ctx.PadMolecules(mol_id));
   }
-  return ctx.registry.AddMolecule(name_v.as_string(), std::move(descriptors))
+  return ctx.registry
+      .AddMolecule(std::string(*cell(kMoleculeName)), std::move(descriptors))
       .status();
+}
+
+/// Parses a ';'-separated id list cell into ids in [0, `limit`). Under
+/// best effort, unparseable or out-of-range ids are dropped with one
+/// diagnostic naming `what`; otherwise the first unparseable id fails the
+/// row, and the first out-of-range one fails it with `out_of_range(id)`.
+template <typename OutOfRange>
+culinary::Result<std::vector<int32_t>> ParseIdCell(LoadContext& ctx,
+                                                   const df::CsvField& cell,
+                                                   int32_t limit,
+                                                   std::string_view what,
+                                                   OutOfRange out_of_range) {
+  std::vector<int32_t> valid;
+  if (!cell) return valid;
+  size_t dropped_parts = 0;
+  CULINARY_ASSIGN_OR_RETURN(
+      std::vector<int32_t> ids,
+      ParseIds(*cell, ctx.best_effort(), &dropped_parts));
+  valid.reserve(ids.size());
+  for (int32_t id : ids) {
+    if (id >= 0 && id < limit) {
+      valid.push_back(id);
+    } else if (ctx.best_effort()) {
+      ++dropped_parts;
+    } else {
+      return out_of_range(id);
+    }
+  }
+  if (dropped_parts > 0) {
+    ctx.Report(culinary::Status::ParseError(std::to_string(dropped_parts) +
+                                            " unusable " + std::string(what) +
+                                            " id(s) dropped"),
+               *cell);
+  }
+  return valid;
 }
 
 /// Parses and restores one entity row. In best-effort mode, dangling
 /// profile / constituent ids are dropped (with diagnostics) and an unknown
 /// kind defaults to basic; everything else fails the row.
-culinary::Status LoadEntityRow(LoadContext& ctx, const df::Table& entities,
-                               size_t r, int32_t num_molecules) {
-  Ingredient ing;
-  CULINARY_ASSIGN_OR_RETURN(df::Value id_v, entities.GetValueChecked(r, "id"));
-  CULINARY_ASSIGN_OR_RETURN(df::Value name_v,
-                            entities.GetValueChecked(r, "name"));
-  CULINARY_ASSIGN_OR_RETURN(df::Value cat_v,
-                            entities.GetValueChecked(r, "category"));
-  CULINARY_ASSIGN_OR_RETURN(df::Value kind_v,
-                            entities.GetValueChecked(r, "kind"));
-  CULINARY_ASSIGN_OR_RETURN(df::Value removed_v,
-                            entities.GetValueChecked(r, "removed"));
-  if (id_v.is_null() || name_v.is_null() || cat_v.is_null() ||
-      kind_v.is_null() || removed_v.is_null()) {
-    return culinary::Status::ParseError("null entity field in row " +
-                                        std::to_string(r));
+culinary::Status LoadEntityRow(LoadContext& ctx,
+                               std::span<const df::CsvField> fields) {
+  auto cell = [&](EntityColumn c) -> const df::CsvField& {
+    return fields[ctx.columns[c]];
+  };
+  for (EntityColumn c : {kId, kName, kCategory, kKind, kRemoved}) {
+    if (!cell(c)) {
+      return culinary::Status::ParseError("null entity field in row " +
+                                          std::to_string(ctx.row));
+    }
   }
-  CULINARY_ASSIGN_OR_RETURN(IngredientId ing_id,
-                            CellToInt<IngredientId>(id_v));
-  ing.id = ing_id;
-  ing.name = name_v.as_string();
-  auto category = CategoryFromString(cat_v.as_string());
+  Ingredient ing;
+  CULINARY_ASSIGN_OR_RETURN(ing.id, CellToInt<IngredientId>(*cell(kId)));
+  ing.name = *cell(kName);
+  auto category = CategoryFromString(*cell(kCategory));
   if (!category.has_value()) {
     return culinary::Status::ParseError("unknown category '" +
-                                        cat_v.as_string() + "'");
+                                        std::string(*cell(kCategory)) + "'");
   }
   ing.category = *category;
-  auto kind = KindFromString(kind_v.as_string());
+  auto kind = KindFromString(*cell(kKind));
   if (kind.ok()) {
     ing.kind = kind.value();
   } else if (ctx.best_effort()) {
-    ctx.Report(r, kind.status(), kind_v.as_string(), "entities");
+    ctx.Report(kind.status(), *cell(kKind));
     ing.kind = IngredientKind::kBasic;
   } else {
     return kind.status();
   }
   CULINARY_ASSIGN_OR_RETURN(int64_t removed_flag,
-                            CellToInt<int64_t>(removed_v));
+                            CellToInt<int64_t>(*cell(kRemoved)));
   ing.removed = removed_flag != 0;
-
-  auto syn_v = entities.GetValueChecked(r, "synonyms");
-  if (syn_v.ok() && !syn_v->is_null() && syn_v->is_string()) {
-    ing.synonyms = SplitNonEmpty(syn_v->as_string());
-  }
-  auto prof_v = entities.GetValueChecked(r, "profile");
-  if (prof_v.ok() && !prof_v->is_null() && prof_v->is_string()) {
-    size_t dropped_parts = 0;
-    CULINARY_ASSIGN_OR_RETURN(
-        std::vector<int32_t> mol_ids,
-        ParseIds(prof_v->as_string(), ctx.best_effort(), &dropped_parts));
-    std::vector<int32_t> valid_ids;
-    valid_ids.reserve(mol_ids.size());
-    for (int32_t m : mol_ids) {
-      if (m < 0 || m >= num_molecules) {
-        if (!ctx.best_effort()) {
-          return culinary::Status::ParseError("dangling molecule id " +
-                                              std::to_string(m));
-        }
-        ++dropped_parts;
-        continue;
-      }
-      valid_ids.push_back(m);
-    }
-    if (dropped_parts > 0) {
-      ctx.Report(r,
-                 culinary::Status::ParseError(
-                     std::to_string(dropped_parts) +
-                     " unusable profile molecule id(s) dropped"),
-                 prof_v->as_string(), "entities");
-    }
-    ing.profile = FlavorProfile(std::move(valid_ids));
-  }
-  auto cons_v = entities.GetValueChecked(r, "constituents");
-  if (cons_v.ok() && !cons_v->is_null() && cons_v->is_string()) {
-    size_t dropped_parts = 0;
-    CULINARY_ASSIGN_OR_RETURN(
-        std::vector<int32_t> cons,
-        ParseIds(cons_v->as_string(), ctx.best_effort(), &dropped_parts));
-    std::vector<int32_t> valid_cons;
-    valid_cons.reserve(cons.size());
-    for (int32_t c : cons) {
-      if (c < 0 || c >= ing.id) {
-        if (!ctx.best_effort()) {
-          return culinary::Status::ParseError(
-              "constituent id " + std::to_string(c) +
-              " does not precede entity " + std::to_string(ing.id));
-        }
-        ++dropped_parts;
-        continue;
-      }
-      valid_cons.push_back(c);
-    }
-    if (dropped_parts > 0) {
-      ctx.Report(r,
-                 culinary::Status::ParseError(
-                     std::to_string(dropped_parts) +
-                     " unusable constituent id(s) dropped"),
-                 cons_v->as_string(), "entities");
-    }
-    ing.constituents = std::move(valid_cons);
-  }
+  if (cell(kSynonyms)) ing.synonyms = SplitNonEmpty(*cell(kSynonyms));
+  CULINARY_ASSIGN_OR_RETURN(
+      std::vector<int32_t> profile,
+      ParseIdCell(ctx, cell(kProfile),
+                  static_cast<int32_t>(ctx.registry.num_molecules()),
+                  "profile molecule", [](int32_t m) {
+                    return culinary::Status::ParseError(
+                        "dangling molecule id " + std::to_string(m));
+                  }));
+  ing.profile = FlavorProfile(std::move(profile));
+  CULINARY_ASSIGN_OR_RETURN(
+      ing.constituents,
+      ParseIdCell(ctx, cell(kConstituents), ing.id, "constituent",
+                  [&ing](int32_t c) {
+                    return culinary::Status::ParseError(
+                        "constituent id " + std::to_string(c) +
+                        " does not precede entity " + std::to_string(ing.id));
+                  }));
 
   const auto next_slot =
       static_cast<int64_t>(ctx.registry.num_ingredient_slots());
-  if (ing_id != next_slot && !ctx.strict()) {
-    if (ing_id < next_slot) {
+  if (ing.id != next_slot && !ctx.strict()) {
+    if (ing.id < next_slot) {
       return culinary::Status::ParseError(
-          "duplicate entity id " + std::to_string(ing_id) +
+          "duplicate entity id " + std::to_string(ing.id) +
           " (next slot is " + std::to_string(next_slot) + ")");
     }
-    CULINARY_RETURN_IF_ERROR(ctx.PadEntities(ing_id));
+    CULINARY_RETURN_IF_ERROR(ctx.PadEntities(ing.id));
   }
   return ctx.registry.RestoreIngredient(ing);
+}
+
+/// Reads the registry file at `path`, finding `names` in its header and
+/// loading each data row with `load_row`. A failed row fails the load
+/// under kStrict and is quarantined with a report otherwise; the next
+/// well-formed row's explicit id re-aligns the slot space, so a quarantined
+/// row needs no placeholder of its own (padding now would double-allocate
+/// when it was a duplicate). `stats` receives the file's CSV accounting.
+culinary::Status LoadRegistryFile(
+    LoadContext& ctx, const std::string& path, std::string_view file,
+    std::initializer_list<std::string_view> names, IngestStats* stats,
+    culinary::Status (*load_row)(LoadContext&,
+                                 std::span<const df::CsvField>)) {
+  df::CsvReadOptions read_options;
+  read_options.error_policy = ctx.policy;
+  read_options.error_sink = ctx.sink;
+  read_options.stats = stats;
+  ctx.file = file;
+  ctx.columns.clear();
+  ctx.row = 0;
+  return df::ForEachCsvFileRecord(
+      path, read_options,
+      [&](size_t, std::span<const df::CsvField> fields) -> culinary::Status {
+        if (ctx.columns.empty()) {
+          CULINARY_ASSIGN_OR_RETURN(ctx.columns,
+                                    df::FindCsvColumns(fields, names));
+          return culinary::Status::OK();
+        }
+        culinary::Status status = load_row(ctx, fields);
+        if (!status.ok() && !ctx.strict()) {
+          ctx.Report(status, {});
+          ++ctx.rows_quarantined;
+          status = culinary::Status::OK();
+        }
+        ++ctx.row;
+        return status;
+      });
 }
 
 }  // namespace
@@ -392,71 +419,26 @@ culinary::Result<FlavorRegistry> LoadRegistryCsv(
   ctx.policy = options.error_policy;
   ctx.sink = options.error_sink;
 
-  // Lists like "5" would otherwise be inferred as numbers; read raw.
-  df::CsvReadOptions raw_options;
-  raw_options.infer_types = false;
-  raw_options.error_policy = options.error_policy;
-  raw_options.error_sink = options.error_sink;
-  IngestStats csv_stats;
   IngestStats file_stats;
-
+  IngestStats entity_stats;
   const std::string mol_path = prefix + "_molecules.csv";
-  raw_options.stats = &csv_stats;
-  auto mol_read = df::ReadCsvFile(mol_path, raw_options);
-  if (!mol_read.ok()) {
-    return mol_read.status().WithContext("loading registry molecules from " +
-                                         mol_path);
-  }
-  file_stats.Merge(csv_stats);
-  df::Table molecules = std::move(mol_read).value();
-  for (const char* col : {"id", "name"}) {
-    if (!molecules.schema().HasField(col)) {
-      return culinary::Status::ParseError(
-          std::string("molecules csv missing column '") + col + "'");
-    }
-  }
-  for (size_t r = 0; r < molecules.num_rows(); ++r) {
-    culinary::Status row_status = LoadMoleculeRow(ctx, molecules, r);
-    if (row_status.ok()) continue;
-    if (ctx.strict()) return row_status.WithContext("loading " + mol_path);
-    ctx.Report(r, row_status, std::string(), "molecules");
-    ++ctx.row_stats.records_quarantined;
-    // No padding here: the next well-formed row's explicit id re-aligns
-    // the slot space via PadMolecules (padding now would double-allocate
-    // when the quarantined row was a duplicate).
-  }
-
+  CULINARY_RETURN_IF_ERROR(
+      LoadRegistryFile(ctx, mol_path, "molecules",
+                       {"id", "name", "descriptors"}, &file_stats,
+                       LoadMoleculeRow)
+          .WithContext("loading registry molecules from " + mol_path));
   const std::string ent_path = prefix + "_entities.csv";
-  raw_options.stats = &csv_stats;
-  auto ent_read = df::ReadCsvFile(ent_path, raw_options);
-  if (!ent_read.ok()) {
-    return ent_read.status().WithContext("loading registry entities from " +
-                                         ent_path);
-  }
-  file_stats.Merge(csv_stats);
-  df::Table entities = std::move(ent_read).value();
-  for (const char* col : {"id", "name", "category", "kind", "removed",
-                          "synonyms", "profile", "constituents"}) {
-    if (!entities.schema().HasField(col)) {
-      return culinary::Status::ParseError(
-          std::string("entities csv missing column '") + col + "'");
-    }
-  }
-  const auto num_molecules = static_cast<int32_t>(ctx.registry.num_molecules());
-  for (size_t r = 0; r < entities.num_rows(); ++r) {
-    culinary::Status row_status = LoadEntityRow(ctx, entities, r, num_molecules);
-    if (row_status.ok()) continue;
-    if (ctx.strict()) return row_status.WithContext("loading " + ent_path);
-    ctx.Report(r, row_status, std::string(), "entities");
-    ++ctx.row_stats.records_quarantined;
-    // As with molecules: the next well-formed row's id re-aligns the slot
-    // space, so a quarantined row needs no placeholder of its own.
-  }
+  CULINARY_RETURN_IF_ERROR(
+      LoadRegistryFile(ctx, ent_path, "entities",
+                       {"id", "name", "category", "kind", "removed",
+                        "synonyms", "profile", "constituents"},
+                       &entity_stats, LoadEntityRow)
+          .WithContext("loading registry entities from " + ent_path));
+  file_stats.Merge(entity_stats);
 
   CULINARY_OBS_COUNT("ingest.registry.records_read", file_stats.records_total);
   CULINARY_OBS_COUNT("ingest.registry.records_quarantined",
-                     file_stats.records_quarantined +
-                         ctx.row_stats.records_quarantined);
+                     file_stats.records_quarantined + ctx.rows_quarantined);
   CULINARY_OBS_COUNT("ingest.registry.molecules_loaded",
                      ctx.registry.num_molecules());
   CULINARY_OBS_COUNT("ingest.registry.ingredients_loaded",
@@ -464,7 +446,7 @@ culinary::Result<FlavorRegistry> LoadRegistryCsv(
   if (options.stats != nullptr) {
     options.stats->records_total = file_stats.records_total;
     options.stats->records_quarantined =
-        file_stats.records_quarantined + ctx.row_stats.records_quarantined;
+        file_stats.records_quarantined + ctx.rows_quarantined;
     options.stats->records_ok =
         options.stats->records_total >= options.stats->records_quarantined
             ? options.stats->records_total -

@@ -131,56 +131,38 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
   read_options.error_policy = csv_policy;
   read_options.error_sink = sink;
   read_options.stats = &local.records;
-  auto table_read = df::ReadCsvFile(path, read_options);
-  if (!table_read.ok()) {
-    return table_read.status().WithContext("loading recipe database from " +
-                                           path);
-  }
-  df::Table table = std::move(table_read).value();
-  for (const char* col : {"name", "region", "ingredients"}) {
-    if (!table.schema().HasField(col)) {
-      return culinary::Status::ParseError(std::string("missing column '") +
-                                          col + "' in " + path);
-    }
-  }
   const bool strict_rows = row_policy == robustness::ErrorPolicy::kStrict;
-  auto quarantine = [&](size_t row, std::string message,
-                        std::string snippet) -> culinary::Status {
-    if (strict_rows) {
-      return culinary::Status::ParseError("row " + std::to_string(row) +
-                                          " of " + path + ": " + message);
-    }
+  enum Column { kName, kRegion, kIngredients };
+  std::vector<size_t> columns;  // empty until the header is read
+  size_t row = 0;               // index of the data record being resolved
+  auto quarantine = [&](std::string message,
+                        std::string_view snippet) -> culinary::Status {
+    message = "row " + std::to_string(row) + ": " + message;
+    if (strict_rows) return culinary::Status::ParseError(std::move(message));
     if (sink != nullptr) {
       sink->Report(/*line=*/0, /*column=*/0, StatusCode::kParseError,
-                   "row " + std::to_string(row) + ": " + std::move(message),
-                   std::move(snippet));
+                   std::move(message), std::string(snippet));
     }
     ++local.rows_quarantined;
     return culinary::Status::OK();
   };
 
   RecipeDatabase db(registry);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    CULINARY_ASSIGN_OR_RETURN(df::Value name_v, table.GetValueChecked(r, "name"));
-    CULINARY_ASSIGN_OR_RETURN(df::Value region_v,
-                              table.GetValueChecked(r, "region"));
-    CULINARY_ASSIGN_OR_RETURN(df::Value ing_v,
-                              table.GetValueChecked(r, "ingredients"));
-    if (region_v.is_null() || ing_v.is_null()) {
-      CULINARY_RETURN_IF_ERROR(
-          quarantine(r, "null region or ingredients", std::string()));
-      continue;
+  auto load_row =
+      [&](std::span<const df::CsvField> fields) -> culinary::Status {
+    const df::CsvField& region_code = fields[columns[kRegion]];
+    const df::CsvField& ingredients = fields[columns[kIngredients]];
+    if (!region_code || !ingredients) {
+      return quarantine("null region or ingredients", {});
     }
-    auto region = RegionFromCode(region_v.as_string());
+    auto region = RegionFromCode(*region_code);
     if (!region.has_value() || *region == Region::kWorld) {
-      CULINARY_RETURN_IF_ERROR(quarantine(
-          r, "unknown region '" + region_v.as_string() + "'",
-          region_v.as_string()));
-      continue;
+      return quarantine("unknown region '" + std::string(*region_code) + "'",
+                        *region_code);
     }
     std::vector<flavor::IngredientId> ids;
     size_t dropped_names = 0;
-    for (const std::string& raw : culinary::Split(ing_v.as_string(), ';')) {
+    for (const std::string& raw : culinary::Split(*ingredients, ';')) {
       std::string_view trimmed = culinary::Trim(raw);
       if (trimmed.empty()) continue;
       flavor::IngredientId id = registry->FindByName(trimmed);
@@ -189,26 +171,37 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
       } else {
         if (strict_rows) {
           return culinary::Status::ParseError(
-              "row " + std::to_string(r) + " of " + path +
-              ": unknown ingredient '" + std::string(trimmed) + "'");
+              "row " + std::to_string(row) + ": unknown ingredient '" +
+              std::string(trimmed) + "'");
         }
         ++dropped_names;
       }
     }
     local.ingredient_names_dropped += dropped_names;
     if (ids.empty()) {
-      CULINARY_RETURN_IF_ERROR(quarantine(
-          r, "no resolvable ingredient", ing_v.as_string()));
-      continue;
+      return quarantine("no resolvable ingredient", *ingredients);
     }
-    std::string name = name_v.is_null() ? "" : name_v.as_string();
-    auto added = db.AddRecipe(std::move(name), *region, std::move(ids));
-    if (!added.ok()) {
-      CULINARY_RETURN_IF_ERROR(
-          quarantine(r, added.status().message(), std::string()));
-      continue;
-    }
+    auto added = db.AddRecipe(std::string(fields[columns[kName]].value_or("")),
+                              *region, std::move(ids));
+    if (!added.ok()) return quarantine(added.status().message(), {});
     ++local.rows_loaded;
+    return culinary::Status::OK();
+  };
+  culinary::Status read = df::ForEachCsvFileRecord(
+      path, read_options,
+      [&](size_t, std::span<const df::CsvField> fields) -> culinary::Status {
+        if (columns.empty()) {
+          CULINARY_ASSIGN_OR_RETURN(
+              columns,
+              df::FindCsvColumns(fields, {"name", "region", "ingredients"}));
+          return culinary::Status::OK();
+        }
+        culinary::Status status = load_row(fields);
+        ++row;
+        return status;
+      });
+  if (!read.ok()) {
+    return read.WithContext("loading recipe database from " + path);
   }
   // Ingestion accounting mirrors IngestReport, so --metrics-out shows how
   // much of a degraded corpus actually survived.

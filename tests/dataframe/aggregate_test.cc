@@ -2,18 +2,18 @@
 // kernel against a per-row reference, null handling, filter values absent
 // from the dictionary, selections crossing uint64 word boundaries, empty
 // selections and tables, the shapes the terminals reject, and group-by
-// over a loaded CSV.
+// over a sample table.
 
 #include "dataframe/aggregate.h"
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "dataframe/csv.h"
 
 namespace culinary::df {
 namespace {
@@ -273,14 +273,19 @@ TEST(ExprTest, UnsupportedShapesAreRejected) {
 /// region, ingredient, count sample; every row is tagged "all" so a filter
 /// on `all` keeps the whole table.
 Table MakeSample() {
-  auto t = ReadCsvString(
-      "region,ingredient,count,all\n"
-      "ITA,tomato,5,y\n"
-      "ITA,basil,3,y\n"
-      "JPN,rice,9,y\n"
-      "JPN,tomato,1,y\n"
-      "ITA,tomato,2,y\n");
+  auto t = Table::Make(Schema({{"region", DataType::kString},
+                               {"ingredient", DataType::kString},
+                               {"count", DataType::kInt64},
+                               {"all", DataType::kString}}));
   EXPECT_TRUE(t.ok());
+  const std::tuple<const char*, const char*, int64_t> kRows[] = {
+      {"ITA", "tomato", 5}, {"ITA", "basil", 3}, {"JPN", "rice", 9},
+      {"JPN", "tomato", 1}, {"ITA", "tomato", 2}};
+  for (const auto& [region, ingredient, count] : kRows) {
+    EXPECT_TRUE(t->AppendRow({Value::Str(region), Value::Str(ingredient),
+                              Value::Int(count), Value::Str("y")})
+                    .ok());
+  }
   return std::move(*t);
 }
 
@@ -312,22 +317,19 @@ TEST(GroupByTest, StringAggregationRejected) {
 }
 
 TEST(GroupByTest, NullKeysGroupTogether) {
-  auto t = ReadCsvString("k,v,all\n,1,y\n,2,y\nx,3,y\n");
-  ASSERT_TRUE(t.ok());
-  auto r = GroupByAggregateWhere(*t, "k", {{AggKind::kCount, "", "n"}},
-                                 {"all", "y"});
+  const Table t = MakeTable({{"", 1, "y"}, {"", 2, "y"}, {"x", 3, "y"}});
+  auto r = GroupByAggregateWhere(t, "key", {{AggKind::kCount, "", "n"}},
+                                 {"tag", "y"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 2u);
   EXPECT_EQ(r->GetValue(0, 1), Value::Int(2));
 }
 
 TEST(GroupByTest, AggregateOverAllNullColumnIsNull) {
-  // Group "a" has only null values in v (v infers numeric thanks to the
-  // "b" row); its mean is null.
-  auto t = ReadCsvString("k,v,all\na,,y\na,,y\nb,1,y\n");
-  ASSERT_TRUE(t.ok());
-  auto r = GroupByAggregateWhere(*t, "k", {{AggKind::kMean, "v", "m"}},
-                                 {"all", "y"});
+  // Group "a" has only null values in x; its mean is null.
+  const Table t = MakeTable({{"a", -1, "y"}, {"a", -1, "y"}, {"b", 1, "y"}});
+  auto r = GroupByAggregateWhere(t, "key", {{AggKind::kMean, "x", "m"}},
+                                 {"tag", "y"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetValue(0, 1), Value::Null());
   EXPECT_EQ(r->GetValue(1, 1), Value::Real(1.0));

@@ -87,15 +87,6 @@ TEST(TableTest, AppendRowWidensIntToDouble) {
   EXPECT_EQ(t.GetValue(2, 2), Value::Real(7.0));
 }
 
-TEST(TableTest, GetValueChecked) {
-  Table t = MakeSample();
-  auto v = t.GetValueChecked(0, "score");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, Value::Real(0.5));
-  EXPECT_TRUE(t.GetValueChecked(9, "score").status().IsOutOfRange());
-  EXPECT_TRUE(t.GetValueChecked(0, "zzz").status().IsNotFound());
-}
-
 TEST(TableTest, SharedColumnsAreCheap) {
   Table t = MakeSample();
   Table copy = t;  // columns shared by shared_ptr

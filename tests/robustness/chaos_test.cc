@@ -70,8 +70,10 @@ TEST(ChaosTest, StrictReaderFailsSkipPolicyRecovers) {
   ASSERT_GT(stats.lines_corrupted, 0u);
 
   // Strict mode refuses the damaged corpus outright.
-  auto strict = df::ReadCsvString(corrupted);
-  EXPECT_FALSE(strict.ok());
+  auto ignore = [](size_t, std::span<const df::CsvField>) {
+    return culinary::Status::OK();
+  };
+  EXPECT_FALSE(df::ForEachCsvRecord(corrupted, {}, ignore).ok());
 
   // Skip-and-report survives it and accounts for the losses.
   ErrorSink sink;
@@ -80,8 +82,8 @@ TEST(ChaosTest, StrictReaderFailsSkipPolicyRecovers) {
   read.error_policy = ErrorPolicy::kSkipAndReport;
   read.error_sink = &sink;
   read.stats = &ingest;
-  auto degraded = df::ReadCsvString(corrupted, read);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  culinary::Status degraded = df::ForEachCsvRecord(corrupted, read, ignore);
+  ASSERT_TRUE(degraded.ok()) << degraded.ToString();
   EXPECT_GT(ingest.records_quarantined, 0u);
   EXPECT_GT(ingest.coverage(), 0.8);
   EXPECT_FALSE(sink.empty());
