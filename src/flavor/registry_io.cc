@@ -178,10 +178,14 @@ struct LoadContext {
   ErrorSink* sink = nullptr;
   size_t rows_quarantined = 0;
   // The file being read: its name in diagnostics, its columns in lookup
-  // order, and the index of the data row being loaded among its records.
+  // order, the index of the data row being loaded among its records, the
+  // line that row starts on, and the line of the last row loaded (or of
+  // the header).
   std::string_view file;
   std::vector<size_t> columns;
   size_t row = 0;
+  size_t line = 0;
+  size_t loaded_line = 0;
 
   bool strict() const { return policy == ErrorPolicy::kStrict; }
   bool best_effort() const { return policy == ErrorPolicy::kBestEffort; }
@@ -195,9 +199,23 @@ struct LoadContext {
     }
   }
 
+  /// A gap before id `target` can only come from rows lost before it, and
+  /// each lost row took at least one source line. So a gap wider than the
+  /// lines since the last loaded row is refused: one damaged id must not
+  /// size the registry.
+  culinary::Status CheckGap(int64_t target, size_t slots) const {
+    const auto gap = static_cast<size_t>(target) - slots;
+    const size_t lost_lines = line - loaded_line - 1;
+    if (gap <= lost_lines) return culinary::Status::OK();
+    return culinary::Status::ParseError(
+        "id " + std::to_string(target) + " skips " + std::to_string(gap) +
+        " ids after " + std::to_string(lost_lines) + " lost lines");
+  }
+
   /// Fills the molecule id space up to (excluding) `target` with
   /// placeholders.
   culinary::Status PadMolecules(int64_t target) {
+    CULINARY_RETURN_IF_ERROR(CheckGap(target, registry.num_molecules()));
     while (static_cast<int64_t>(registry.num_molecules()) < target) {
       CULINARY_RETURN_IF_ERROR(
           registry
@@ -212,6 +230,7 @@ struct LoadContext {
   /// placeholders (tombstones do not index their names, so placeholder
   /// names cannot collide with real data).
   culinary::Status PadEntities(int64_t target) {
+    CULINARY_RETURN_IF_ERROR(CheckGap(target, registry.num_ingredient_slots()));
     while (static_cast<int64_t>(registry.num_ingredient_slots()) < target) {
       Ingredient placeholder;
       placeholder.id =
@@ -389,13 +408,17 @@ culinary::Status LoadRegistryFile(
   ctx.row = 0;
   return df::ForEachCsvFileRecord(
       path, read_options,
-      [&](size_t, std::span<const df::CsvField> fields) -> culinary::Status {
+      [&](size_t line,
+          std::span<const df::CsvField> fields) -> culinary::Status {
         if (ctx.columns.empty()) {
           CULINARY_ASSIGN_OR_RETURN(ctx.columns,
                                     df::FindCsvColumns(fields, names));
+          ctx.loaded_line = line;
           return culinary::Status::OK();
         }
+        ctx.line = line;
         culinary::Status status = load_row(ctx, fields);
+        if (status.ok()) ctx.loaded_line = line;
         if (!status.ok() && !ctx.strict()) {
           ctx.Report(status, {});
           ++ctx.rows_quarantined;

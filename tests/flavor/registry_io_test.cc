@@ -392,6 +392,81 @@ TEST(RegistryDegradedTest, BestEffortQuarantinesIdsPastInt32) {
   Cleanup(prefix);
 }
 
+/// Loads `molecules` and `entities` (data rows under the standard headers)
+/// under `policy`, expecting exactly one quarantined row whose diagnostic
+/// names the id gap.
+culinary::Result<FlavorRegistry> LoadWithOneGapQuarantined(
+    const std::string& prefix, robustness::ErrorPolicy policy,
+    const std::string& molecules, const std::string& entities) {
+  {
+    std::ofstream mols(prefix + "_molecules.csv");
+    mols << "id,name,descriptors\n" << molecules;
+    std::ofstream ents(prefix + "_entities.csv");
+    ents << "id,name,category,kind,removed,synonyms,profile,constituents\n"
+         << entities;
+  }
+  robustness::ErrorSink sink;
+  robustness::IngestStats stats;
+  RegistryLoadOptions options;
+  options.error_policy = policy;
+  options.error_sink = &sink;
+  options.stats = &stats;
+  auto loaded = LoadRegistryCsv(prefix, options);
+  Cleanup(prefix);
+  EXPECT_EQ(stats.records_quarantined, 1u);
+  EXPECT_EQ(sink.total(), 1u);
+  if (!sink.diagnostics().empty()) {
+    EXPECT_NE(sink.diagnostics()[0].message.find("lost lines"),
+              std::string::npos)
+        << sink.diagnostics()[0].ToString();
+  }
+  return loaded;
+}
+
+TEST(RegistryDegradedTest, LoneEntityIdPastItsLinesIsQuarantined) {
+  // One row with id 400000 right after the header: no row was lost before
+  // it, so it cannot claim 400,000 placeholder slots.
+  for (auto policy : {robustness::ErrorPolicy::kSkipAndReport,
+                      robustness::ErrorPolicy::kBestEffort}) {
+    auto loaded = LoadWithOneGapQuarantined(
+        TempPrefix("gap_entity"), policy, "0,linalool,\n",
+        "400000,tomato,Vegetable,basic,0,,0,\n");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->num_ingredient_slots(), 0u);
+    EXPECT_EQ(loaded->FindByName("tomato"), kInvalidIngredient);
+  }
+}
+
+TEST(RegistryDegradedTest, LoneMoleculeIdNearInt32MaxIsQuarantined) {
+  for (auto policy : {robustness::ErrorPolicy::kSkipAndReport,
+                      robustness::ErrorPolicy::kBestEffort}) {
+    auto loaded = LoadWithOneGapQuarantined(
+        TempPrefix("gap_molecule"), policy, "2147483647,wide,\n", "");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->num_molecules(), 0u);
+  }
+}
+
+TEST(RegistryDegradedTest, GapWithinLostLinesIsPadded) {
+  // Two lines lost between ids 0 and 3 may account for ids 1 and 2.
+  std::string prefix = TempPrefix("gap_padded");
+  {
+    std::ofstream mols(prefix + "_molecules.csv");
+    mols << "id,name,descriptors\n0,linalool,\n1,\"broken\"x,\n"
+         << "garbage\n3,vanillin,\n";
+    std::ofstream ents(prefix + "_entities.csv");
+    ents << "id,name,category,kind,removed,synonyms,profile,constituents\n"
+         << "0,tomato,Vegetable,basic,0,,3,\n";
+  }
+  RegistryLoadOptions options;
+  options.error_policy = robustness::ErrorPolicy::kSkipAndReport;
+  auto loaded = LoadRegistryCsv(prefix, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_molecules(), 4u);
+  EXPECT_EQ(loaded->GetMolecule(3)->name, "vanillin");
+  Cleanup(prefix);
+}
+
 TEST(RegistryDegradedTest, StrictOptionsMatchLegacyBehaviour) {
   std::string prefix = TempPrefix("degraded_strict");
   {

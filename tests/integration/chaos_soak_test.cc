@@ -295,11 +295,11 @@ struct PinnedIngest {
 
 TEST_F(ChaosSoakTest, DegradedLoadsReturnPinnedRecordsAndDiagnostics) {
   const PinnedIngest kPins[] = {
-      {ErrorPolicy::kSkipAndReport, 880, 838, 42, 42, "ParseError=42 ",
-       "a0b46133bcaa0b9b", "89e9de6faf86f4c5", 1996, 1952, 44, 1949, 3, 441,
+      {ErrorPolicy::kSkipAndReport, 880, 841, 39, 39, "ParseError=39 ",
+       "a479f49c2632b784", "7581ae7ccb77bae0", 1996, 1952, 44, 1949, 3, 441,
        47, "ParseError=47 ", "5b521198b2261f12", "e3006b14533dea3f"},
-      {ErrorPolicy::kBestEffort, 880, 866, 14, 44, "ParseError=44 ",
-       "d50226c6291efdc9", "c2cceecd1c5d2233", 1996, 1995, 1, 1979, 16, 85,
+      {ErrorPolicy::kBestEffort, 880, 869, 11, 41, "ParseError=41 ",
+       "3d8066e8ada33290", "d623226ab28fbb06", 1996, 1995, 1, 1979, 16, 85,
        60, "ParseError=60 ", "c40009e70ddd92e8", "66ced4520674b973"},
   };
   for (const PinnedIngest& pin : kPins) {
