@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
           argc, argv,
           {flags::Presence("small", &small, "the miniature world"),
            flags::Unsigned("null-recipes", &null_recipes,
-                           "null recipes per region and order")})) {
+                           "null recipes per region and order", 2)})) {
     return 2;
   }
   const datagen::WorldSpec spec = datagen::WorldSpec::For(small);

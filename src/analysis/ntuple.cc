@@ -85,6 +85,11 @@ culinary::Result<TupleComparison> CompareTupleAgainstRandom(
   if (k < 2) {
     return culinary::Status::InvalidArgument("tuple order k must be >= 2");
   }
+  // One null recipe has no spread: σ would be 0 and the Z-score 0.
+  if (num_null_recipes < 2) {
+    return culinary::Status::InvalidArgument(
+        "num_null_recipes must be at least 2");
+  }
   const std::vector<flavor::IngredientId>& pool = cuisine.unique_ingredients();
   if (pool.size() < k) {
     return culinary::Status::FailedPrecondition(

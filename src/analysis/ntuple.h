@@ -47,7 +47,7 @@ struct TupleComparison {
 /// Compares order-k sharing of `cuisine` against a uniform random cuisine
 /// preserving ingredient set and size distribution (the paper's Random
 /// Cuisine, evaluated at order k). Recipes shorter than k are skipped on
-/// both sides.
+/// both sides. InvalidArgument when k < 2 or `num_null_recipes` < 2.
 culinary::Result<TupleComparison> CompareTupleAgainstRandom(
     const flavor::FlavorRegistry& registry, const recipe::Cuisine& cuisine,
     size_t k, size_t num_null_recipes = 20000, uint64_t seed = 0xC0FFEE);

@@ -95,6 +95,18 @@ TEST_F(NTupleTest, CompareValidation) {
                   .IsFailedPrecondition());
 }
 
+TEST_F(NTupleTest, FewerThanTwoNullRecipesRejected) {
+  // One null recipe has σ = 0, so its Z-score would read 0.
+  Cuisine cuisine(Region::kItaly, {MakeRecipe({a_, b_, c_})});
+  for (size_t num_null_recipes : {0, 1}) {
+    EXPECT_TRUE(CompareTupleAgainstRandom(reg_, cuisine, 2, num_null_recipes)
+                    .status()
+                    .IsInvalidArgument())
+        << num_null_recipes;
+  }
+  EXPECT_TRUE(CompareTupleAgainstRandom(reg_, cuisine, 2, 2).ok());
+}
+
 TEST_F(NTupleTest, CompareRunsAndIsDeterministic) {
   Cuisine cuisine(Region::kItaly,
                   {MakeRecipe({a_, b_, c_}), MakeRecipe({a_, b_, c_, d_}),
