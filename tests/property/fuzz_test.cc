@@ -2,7 +2,12 @@
 // invariants that must hold for arbitrary inputs, exercised over many
 // randomly generated cases. Failures print the case seed for replay.
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,7 +19,10 @@
 #include "dataframe/csv.h"
 #include "dataframe/aggregate.h"
 #include "flavor/registry.h"
+#include "flavor/registry_io.h"
+#include "recipe/database.h"
 #include "recipe/parser.h"
+#include "recipe/region.h"
 #include "text/edit_distance.h"
 #include "text/inflect.h"
 #include "text/normalize.h"
@@ -71,17 +79,154 @@ TEST(CsvFuzzTest, ArbitraryStringTablesRoundTrip) {
   }
 }
 
+/// A cell drawn from what the loaders must survive: digits, region codes,
+/// names the registry knows, empty strings, quotes, delimiters and line
+/// breaks, one to three of them run together.
+std::string RandomLoaderCell(Rng& rng, const std::vector<std::string>& names) {
+  std::string cell;
+  for (size_t piece = 1 + rng.NextBounded(3); piece > 0; --piece) {
+    switch (rng.NextBounded(8)) {
+      case 0:
+        cell += std::to_string(rng.NextBounded(1000));
+        break;
+      case 1:
+        cell += recipe::RegionCode(
+            recipe::AllRegions()[rng.NextBounded(recipe::kNumRegions)]);
+        break;
+      case 2:
+        cell += names[rng.NextBounded(names.size())];
+        break;
+      case 3:
+        break;  // empty
+      case 4:
+        cell += '"';
+        break;
+      case 5:
+        cell += ',';
+        break;
+      case 6:
+        cell += ';';
+        break;
+      default:
+        cell += rng.NextBounded(2) == 0 ? "\n" : "\r\n";
+        break;
+    }
+  }
+  return cell;
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ostringstream text;
+  text << std::ifstream(path, std::ios::binary).rdbuf();
+  return text.str();
+}
+
+/// Writes `RandomLoaderCell`s into `text` past its header line, at one to
+/// four random offsets.
+std::string MutateCsv(Rng& rng, std::string text,
+                      const std::vector<std::string>& names) {
+  const size_t body = text.find('\n') + 1;
+  for (size_t edits = 1 + rng.NextBounded(4); edits > 0; --edits) {
+    const size_t at = body + rng.NextBounded(text.size() - body + 1);
+    const size_t erase = rng.NextBounded(4);
+    text.replace(at, erase, RandomLoaderCell(rng, names));
+  }
+  return text;
+}
+
 TEST(CsvFuzzTest, GarbageInputNeverCrashes) {
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
+  // Damaged recipe and registry CSVs through both loaders under every
+  // policy: each load returns a status and never aborts.
+  flavor::FlavorRegistry registry;
+  const flavor::MoleculeId linalool =
+      registry.AddMolecule("linalool", {"floral"}).value();
+  const flavor::MoleculeId vanillin =
+      registry.AddMolecule("vanillin, \"sweet\"").value();
+  const flavor::IngredientId tomato =
+      registry
+          .AddIngredient("tomato", flavor::Category::kVegetable,
+                         flavor::FlavorProfile({linalool, vanillin}))
+          .value();
+  const flavor::IngredientId basil =
+      registry
+          .AddIngredient("basil", flavor::Category::kHerb,
+                         flavor::FlavorProfile({vanillin}))
+          .value();
+  ASSERT_TRUE(registry.AddSynonym(tomato, "love apple").ok());
+  ASSERT_TRUE(registry
+                  .AddCompoundIngredient("pesto base", flavor::Category::kDish,
+                                         {tomato, basil})
+                  .ok());
+  const std::vector<std::string> names = {"tomato", "basil", "love apple",
+                                          "pesto base", "linalool"};
+  const std::string prefix = ::testing::TempDir() + "/culinary_loader_fuzz_" +
+                             std::to_string(getpid());
+  ASSERT_TRUE(flavor::SaveRegistryCsv(registry, prefix).ok());
+  const std::string molecules = ReadFile(prefix + "_molecules.csv");
+  const std::string entities = ReadFile(prefix + "_entities.csv");
+  const std::string recipes_path = prefix + "_recipes.csv";
+
+  using robustness::ErrorPolicy;
+  size_t registries_loaded = 0;
+  size_t recipes_loaded = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
     Rng rng(seed);
-    std::string garbage = RandomCsvString(rng, 200);
-    // Must return a status — never crash — and hand over no empty record.
-    culinary::Status status = df::ForEachCsvRecord(
-        garbage, {}, [](size_t, std::span<const df::CsvField> fields) {
-          EXPECT_GE(fields.size(), 1u);
-          return culinary::Status::OK();
-        });
-    (void)status;
+    std::string recipes = "id,name,region,ingredients\n";
+    for (size_t row = 1 + rng.NextBounded(5); row > 0; --row) {
+      // Two cells in three hold what their column expects, so rows also
+      // get as far as resolution and AddRecipe.
+      const std::string digits = std::to_string(rng.NextBounded(200));
+      const std::string expected[] = {
+          digits, rng.NextBounded(2) == 0 ? digits : names[0],
+          std::string(recipe::RegionCode(
+              recipe::AllRegions()[rng.NextBounded(recipe::kNumRegions)])),
+          names[rng.NextBounded(names.size())] + ";" +
+              names[rng.NextBounded(names.size())]};
+      for (int c = 0; c < 4; ++c) {
+        recipes += c > 0 ? "," : "";
+        recipes += rng.NextBounded(3) != 0 ? expected[c]
+                                           : RandomLoaderCell(rng, names);
+      }
+      recipes += '\n';
+    }
+    WriteFile(recipes_path, recipes);
+    WriteFile(prefix + "_molecules.csv", MutateCsv(rng, molecules, names));
+    WriteFile(prefix + "_entities.csv", MutateCsv(rng, entities, names));
+
+    for (ErrorPolicy policy : {ErrorPolicy::kStrict,
+                               ErrorPolicy::kSkipAndReport,
+                               ErrorPolicy::kBestEffort}) {
+      robustness::ErrorSink sink;
+      flavor::RegistryLoadOptions registry_options;
+      registry_options.error_policy = policy;
+      registry_options.error_sink = &sink;
+      auto loaded = flavor::LoadRegistryCsv(prefix, registry_options);
+      registries_loaded += loaded.ok();
+      const flavor::FlavorRegistry& against =
+          loaded.ok() ? loaded.value() : registry;
+
+      recipe::IngestOptions options;
+      options.error_policy = policy;
+      options.error_sink = &sink;
+      recipe::IngestReport report;
+      auto db = recipe::RecipeDatabase::LoadCsv(recipes_path, &against,
+                                                options, &report);
+      if (db.ok()) {
+        EXPECT_EQ(report.rows_loaded, db->num_recipes()) << "seed " << seed;
+        recipes_loaded += report.rows_loaded;
+      }
+      (void)recipe::RecipeDatabase::LoadCsv(recipes_path, &registry);
+    }
+  }
+  EXPECT_GT(registries_loaded, 0u);
+  EXPECT_GT(recipes_loaded, 0u);
+  for (const char* suffix :
+       {"_molecules.csv", "_entities.csv", "_recipes.csv"}) {
+    std::remove((prefix + suffix).c_str());
   }
 }
 

@@ -156,6 +156,44 @@ TEST_F(DatabaseTest, LoadCsvSkipsBadRows) {
   std::remove(path.c_str());
 }
 
+TEST_F(DatabaseTest, LoadCsvReadsNumericNamesAndRegions) {
+  // Cells are text to the loader, whatever they hold: all-digit names load
+  // as written, and all-digit regions are unknown regions.
+  std::string path = ::testing::TempDir() + "/culinary_db_digits.csv";
+  {
+    std::ofstream out(path);
+    out << "id,name,region,ingredients\n"
+        << "0,101,ITA,tomato;basil\n"
+        << "1,102,JPN,rice\n";
+  }
+  size_t skipped = 0;
+  auto loaded = RecipeDatabase::LoadCsv(path, &reg_, &skipped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(skipped, 0u);
+  ASSERT_EQ(loaded->num_recipes(), 2u);
+  EXPECT_EQ(loaded->recipes()[0].name, "101");
+  EXPECT_EQ(loaded->recipes()[1].name, "102");
+
+  {
+    std::ofstream out(path);
+    out << "id,name,region,ingredients\n"
+        << "0,caprese,7,tomato;basil\n"
+        << "1,onigiri,8,rice\n";
+  }
+  robustness::ErrorSink sink;
+  IngestOptions options;
+  options.error_sink = &sink;
+  IngestReport report;
+  loaded = RecipeDatabase::LoadCsv(path, &reg_, options, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_recipes(), 0u);
+  EXPECT_EQ(report.rows_quarantined, 2u);
+  ASSERT_EQ(sink.diagnostics().size(), 2u);
+  EXPECT_EQ(sink.diagnostics()[0].message, "row 0: unknown region '7'");
+  EXPECT_EQ(sink.diagnostics()[1].message, "row 1: unknown region '8'");
+  std::remove(path.c_str());
+}
+
 TEST_F(DatabaseTest, LoadCsvRequiresColumns) {
   std::string path = ::testing::TempDir() + "/culinary_db_cols.csv";
   {
