@@ -45,11 +45,6 @@ class Schema {
   /// Index of the first field named `name`, or nullopt.
   std::optional<size_t> FieldIndex(std::string_view name) const;
 
-  /// True iff a field named `name` exists.
-  bool HasField(std::string_view name) const {
-    return FieldIndex(name).has_value();
-  }
-
   /// "name:type, name:type, ..." for diagnostics.
   std::string ToString() const;
 

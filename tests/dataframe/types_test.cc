@@ -17,8 +17,6 @@ TEST(SchemaTest, FieldLookup) {
   ASSERT_TRUE(schema.FieldIndex("b").has_value());
   EXPECT_EQ(*schema.FieldIndex("b"), 1u);
   EXPECT_FALSE(schema.FieldIndex("c").has_value());
-  EXPECT_TRUE(schema.HasField("a"));
-  EXPECT_FALSE(schema.HasField("z"));
 }
 
 TEST(SchemaTest, ToString) {
