@@ -418,8 +418,9 @@ culinary::Status LoadRegistryFile(
         }
         ctx.line = line;
         culinary::Status status = load_row(ctx, fields);
-        if (status.ok()) ctx.loaded_line = line;
-        if (!status.ok() && !ctx.strict()) {
+        if (status.ok()) {
+          ctx.loaded_line = line;
+        } else if (!ctx.strict()) {
           ctx.Report(status, {});
           ++ctx.rows_quarantined;
           status = culinary::Status::OK();
