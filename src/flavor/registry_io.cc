@@ -192,7 +192,7 @@ struct LoadContext {
 
   void Report(const culinary::Status& why, std::string_view snippet) {
     if (sink != nullptr) {
-      sink->Report(/*line=*/row + 2, /*column=*/0, why.code(),
+      sink->Report(line, /*column=*/0, why.code(),
                    std::string(file) + " row " + std::to_string(row) + ": " +
                        why.message(),
                    std::string(snippet));

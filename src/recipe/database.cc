@@ -134,13 +134,14 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
   const bool strict_rows = row_policy == robustness::ErrorPolicy::kStrict;
   enum Column { kName, kRegion, kIngredients };
   std::vector<size_t> columns;  // empty until the header is read
-  size_t row = 0;               // index of the data record being resolved
+  size_t row = 0;   // index of the data record being resolved
+  size_t line = 0;  // the source line that record starts on
   auto quarantine = [&](std::string message,
                         std::string_view snippet) -> culinary::Status {
     message = "row " + std::to_string(row) + ": " + message;
     if (strict_rows) return culinary::Status::ParseError(std::move(message));
     if (sink != nullptr) {
-      sink->Report(/*line=*/0, /*column=*/0, StatusCode::kParseError,
+      sink->Report(line, /*column=*/0, StatusCode::kParseError,
                    std::move(message), std::string(snippet));
     }
     ++local.rows_quarantined;
@@ -189,13 +190,15 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
   };
   culinary::Status read = df::ForEachCsvFileRecord(
       path, read_options,
-      [&](size_t, std::span<const df::CsvField> fields) -> culinary::Status {
+      [&](size_t record_line,
+          std::span<const df::CsvField> fields) -> culinary::Status {
         if (columns.empty()) {
           CULINARY_ASSIGN_OR_RETURN(
               columns,
               df::FindCsvColumns(fields, {"name", "region", "ingredients"}));
           return culinary::Status::OK();
         }
+        line = record_line;
         culinary::Status status = load_row(fields);
         ++row;
         return status;

@@ -467,6 +467,38 @@ TEST(RegistryDegradedTest, GapWithinLostLinesIsPadded) {
   Cleanup(prefix);
 }
 
+TEST(RegistryDegradedTest, DiagnosticsCarryTheRecordsSourceLine) {
+  // The tomato record spans lines 2-3 (a quoted synonym with a line break),
+  // so the bad row after it starts on line 4, not at its row index + 2.
+  std::string prefix = TempPrefix("diag_line");
+  {
+    std::ofstream mols(prefix + "_molecules.csv");
+    mols << "id,name,descriptors\n0,linalool,\n";
+    std::ofstream ents(prefix + "_entities.csv");
+    ents << "id,name,category,kind,removed,synonyms,profile,constituents\n"
+         << "0,tomato,Vegetable,basic,0,\"love\napple\",0,\n"
+         << "1,basil,Protein,oddkind,0,,0,\n";
+  }
+  // Skip-and-report quarantines the row (unknown category) after loading
+  // it; best effort reports its unknown kind from inside the row first.
+  for (auto policy : {robustness::ErrorPolicy::kSkipAndReport,
+                      robustness::ErrorPolicy::kBestEffort}) {
+    SCOPED_TRACE(std::string(robustness::ErrorPolicyToString(policy)));
+    robustness::ErrorSink sink;
+    RegistryLoadOptions options;
+    options.error_policy = policy;
+    options.error_sink = &sink;
+    auto loaded = LoadRegistryCsv(prefix, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->FindByName("tomato"), 0);
+    ASSERT_FALSE(sink.diagnostics().empty());
+    for (const robustness::Diagnostic& diagnostic : sink.diagnostics()) {
+      EXPECT_EQ(diagnostic.line, 4u) << diagnostic.ToString();
+    }
+  }
+  Cleanup(prefix);
+}
+
 TEST(RegistryDegradedTest, StrictOptionsMatchLegacyBehaviour) {
   std::string prefix = TempPrefix("degraded_strict");
   {

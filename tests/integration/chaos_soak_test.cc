@@ -296,11 +296,11 @@ struct PinnedIngest {
 TEST_F(ChaosSoakTest, DegradedLoadsReturnPinnedRecordsAndDiagnostics) {
   const PinnedIngest kPins[] = {
       {ErrorPolicy::kSkipAndReport, 880, 841, 39, 39, "ParseError=39 ",
-       "a479f49c2632b784", "7581ae7ccb77bae0", 1996, 1952, 44, 1949, 3, 441,
-       47, "ParseError=47 ", "5b521198b2261f12", "e3006b14533dea3f"},
+       "b2f2879deb74ba87", "7581ae7ccb77bae0", 1996, 1952, 44, 1949, 3, 441,
+       47, "ParseError=47 ", "37891fc97f979776", "e3006b14533dea3f"},
       {ErrorPolicy::kBestEffort, 880, 869, 11, 41, "ParseError=41 ",
        "3d8066e8ada33290", "d623226ab28fbb06", 1996, 1995, 1, 1979, 16, 85,
-       60, "ParseError=60 ", "c40009e70ddd92e8", "66ced4520674b973"},
+       60, "ParseError=60 ", "63e3dc02740ed87e", "66ced4520674b973"},
   };
   for (const PinnedIngest& pin : kPins) {
     SCOPED_TRACE(std::string(robustness::ErrorPolicyToString(pin.policy)));

@@ -194,6 +194,28 @@ TEST_F(DatabaseTest, LoadCsvReadsNumericNamesAndRegions) {
   std::remove(path.c_str());
 }
 
+TEST_F(DatabaseTest, LoadCsvDiagnosticsCarryTheRecordsSourceLine) {
+  // The first record's quoted name spans lines 2-4, so the unknown region
+  // after it starts on line 5.
+  std::string path = ::testing::TempDir() + "/culinary_db_lines.csv";
+  {
+    std::ofstream out(path);
+    out << "id,name,region,ingredients\n"
+        << "0,\"three\nline\nname\",ITA,tomato\n"
+        << "1,onigiri,XXX,rice\n";
+  }
+  robustness::ErrorSink sink;
+  IngestOptions options;
+  options.error_sink = &sink;
+  auto loaded = RecipeDatabase::LoadCsv(path, &reg_, options, nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_recipes(), 1u);
+  ASSERT_EQ(sink.diagnostics().size(), 1u);
+  EXPECT_EQ(sink.diagnostics()[0].line, 5u);
+  EXPECT_EQ(sink.diagnostics()[0].message, "row 1: unknown region 'XXX'");
+  std::remove(path.c_str());
+}
+
 TEST_F(DatabaseTest, LoadCsvRequiresColumns) {
   std::string path = ::testing::TempDir() + "/culinary_db_cols.csv";
   {
