@@ -72,9 +72,9 @@ culinary::Result<std::vector<size_t>> FindCsvColumns(
     std::span<const CsvField> header,
     std::initializer_list<std::string_view> names);
 
-/// Reads `path` in one sized read and runs `ForEachCsvRecord` over it.
-/// IOError when the file cannot be read or has no size (a pipe, a
-/// directory). Checks the `csv.open` / `csv.read`
+/// Reads `path` and runs `ForEachCsvRecord` over it: a regular file in one
+/// sized read, anything else (a pipe, /dev/stdin) to its end. IOError when
+/// the file cannot be opened or read. Checks the `csv.open` / `csv.read`
 /// fault-injection sites (see robustness/fault_injector.h), making every
 /// IO failure path testable.
 culinary::Status ForEachCsvFileRecord(const std::string& path,

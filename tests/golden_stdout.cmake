@@ -4,10 +4,12 @@
 # the code gave before it, not only against itself.
 #
 #   cmake -DBINARY=<executable> -DEXPECTED=<sha256 hex> [-DARGS=<flags>]
-#         -P golden_stdout.cmake
+#         [-DSTDIN=<file>] -P golden_stdout.cmake
 #
-# ARGS, a CMake list, is the binary's command line. stderr (progress lines)
-# is not part of the digest.
+# ARGS, a CMake list, is the binary's command line. STDIN, when given, is
+# piped into the binary's standard input (through `cmake -E cat`, so the
+# binary reads a pipe, not a file). stderr (progress lines) is not part of
+# the digest.
 
 foreach(var BINARY EXPECTED)
   if(NOT DEFINED ${var})
@@ -15,15 +17,23 @@ foreach(var BINARY EXPECTED)
   endif()
 endforeach()
 
+set(feed)
+if(DEFINED STDIN)
+  set(feed COMMAND ${CMAKE_COMMAND} -E cat ${STDIN})
+endif()
 execute_process(
+  ${feed}
   COMMAND ${BINARY} ${ARGS}
   OUTPUT_VARIABLE out
   ERROR_VARIABLE log
-  RESULT_VARIABLE code)
+  RESULTS_VARIABLE codes)
 
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "golden_stdout: ${BINARY} ${ARGS} exited ${code}\n${log}")
-endif()
+foreach(code IN LISTS codes)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR
+      "golden_stdout: ${BINARY} ${ARGS} exit codes ${codes}\n${log}")
+  endif()
+endforeach()
 
 string(SHA256 digest "${out}")
 if(NOT digest STREQUAL EXPECTED)

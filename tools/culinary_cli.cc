@@ -388,8 +388,13 @@ int CmdClassify(const GlobalArgs& args) {
 
 /// Digest of everything `analyze` consumes: the recipe CSV bytes plus
 /// either the saved registry CSVs or the generated-world inputs. Any byte
-/// change in any file makes dependent snapshots stale.
+/// change in any file makes dependent snapshots stale. Only a snapshot flag
+/// uses it, so without one it is 0 and reads nothing: the loaders then read
+/// each input once, a pipe included.
 Result<uint64_t> AnalyzeInputsDigest(const GlobalArgs& args) {
+  if (args.snapshot_in.empty() && args.snapshot_out.empty()) {
+    return uint64_t{0};
+  }
   if (!args.registry_prefix.empty()) {
     return snapshot::DigestFiles({args.registry_prefix + "_molecules.csv",
                                   args.registry_prefix + "_entities.csv",
