@@ -12,9 +12,18 @@
 // The world comes from a generated spec or from a binary world snapshot.
 // The snapshot load is hardened: corruption or a stale digest quarantines
 // the file and rebuilds from source (kBestEffort), so a damaged snapshot
-// degrades startup, never kills it. A worker drains up to 16 waiting
-// same-endpoint requests into one shared-snapshot sweep; a request past the
-// 256-deep admission queue is shed with Unavailable.
+// degrades startup, never kills it.
+//
+// The thread that reads a line also answers it: a point line through
+// `QueryEngine::Execute`, a batch line as one `ExecuteBatch` sweep over its
+// sub-requests against one pinned snapshot, both behind the engine's
+// admission gate (a draining or stopped engine answers Unavailable). Lines
+// are framed with read(2) and each answer goes out in one write(2) loop.
+// One line is answered at a time, so no admission queue builds: the wire
+// never sheds by queue capacity or deadline estimate, and each request
+// runs under its own deadline from the start of its evaluation. The
+// --threads worker pool and its watchdog serve queued `Submit` callers,
+// not the wire.
 //
 // Admin ops on the wire: {"op":"reload"} rebuilds the world from the same
 // source through the hardened reload path (up to 3 attempts per reload; 3
@@ -26,17 +35,21 @@
 // SIGINT/SIGTERM likewise drain gracefully: admission closes (kDraining),
 // in-flight requests finish, metrics are flushed, exit status 0.
 
+#include <fcntl.h>
 #include <pthread.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/json.h"
@@ -60,7 +73,7 @@ volatile std::sig_atomic_t g_signal = 0;
 extern "C" void HandleSignal(int sig) { g_signal = sig; }
 
 /// Installs the drain handler WITHOUT SA_RESTART: a SIGINT/SIGTERM landing
-/// while the serve loop is blocked in getline makes the read fail with
+/// while the serve loop is blocked in read(2) makes the read fail with
 /// EINTR instead of restarting, so the loop exits and the drain runs.
 void InstallSignalHandlers() {
   struct sigaction sa;
@@ -112,6 +125,101 @@ serving::SnapshotSource MakeSource(const ServeArgs& args) {
   return source;
 }
 
+/// Splits the bytes of one file descriptor into lines as an istream's
+/// `getline` does: on '\n' only (a '\r' stays in the line), through a
+/// buffer that grows for a line longer than one read, with a last line that
+/// has no '\n' still returned. A failed read ends the input as end-of-file
+/// would, so a read interrupted by SIGINT/SIGTERM (EINTR) ends the serve
+/// loop.
+class LineReader {
+ public:
+  explicit LineReader(int fd) : fd_(fd) {}
+
+  /// The next line without its '\n', valid until the next call; false once
+  /// the input is exhausted.
+  bool Next(std::string_view* line) {
+    for (;;) {
+      const char* base = buffer_.data();
+      if (scanned_ < end_) {
+        const void* newline =
+            std::memchr(base + scanned_, '\n', end_ - scanned_);
+        if (newline != nullptr) {
+          const size_t at = static_cast<size_t>(
+              static_cast<const char*>(newline) - base);
+          *line = std::string_view(base + start_, at - start_);
+          start_ = scanned_ = at + 1;
+          return true;
+        }
+        scanned_ = end_;
+      }
+      if (ended_) {
+        if (start_ == end_) return false;
+        *line = std::string_view(base + start_, end_ - start_);
+        start_ = end_;
+        return true;
+      }
+      Fill();
+    }
+  }
+
+ private:
+  static constexpr size_t kReadBytes = 64 * 1024;
+
+  /// Moves the unconsumed bytes to the front, grows the buffer when they
+  /// fill it, and appends one read's worth.
+  void Fill() {
+    if (start_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + start_, end_ - start_);
+      end_ -= start_;
+      scanned_ -= start_;
+      start_ = 0;
+    }
+    if (buffer_.size() - end_ < kReadBytes) {
+      buffer_.resize(end_ + std::max(end_, kReadBytes));
+    }
+    const ssize_t n = ::read(fd_, buffer_.data() + end_, buffer_.size() - end_);
+    if (n > 0) {
+      end_ += static_cast<size_t>(n);
+    } else {
+      ended_ = true;
+    }
+  }
+
+  int fd_;
+  std::vector<char> buffer_;
+  size_t start_ = 0;    ///< first byte of the next line
+  size_t scanned_ = 0;  ///< bytes before this hold no '\n' after start_
+  size_t end_ = 0;      ///< bytes read so far
+  bool ended_ = false;  ///< end of file or a failed read
+};
+
+/// Writes `answer` and its '\n' to stdout, retrying partial writes and
+/// EINTR so that no answer is cut. Gives up only on a write error.
+void WriteLine(std::string answer) {
+  answer.push_back('\n');
+  const char* data = answer.data();
+  size_t left = answer.size();
+  while (left > 0) {
+    const ssize_t n = ::write(STDOUT_FILENO, data, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    data += n;
+    left -= static_cast<size_t>(n);
+  }
+}
+
+/// What a closed admission gate answers `request`: the status `Submit`
+/// sheds with, at the published generation.
+serving::Response Refused(const serving::QueryEngine& engine,
+                          const serving::Request& request,
+                          const Status& gate) {
+  serving::Response response;
+  response.endpoint = request.endpoint;
+  response.generation = engine.generation();
+  response.status = gate;
+  return response;
+}
+
 int64_t SteadyNowS() {
   return std::chrono::duration_cast<std::chrono::seconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -160,7 +268,7 @@ std::string HealthJson(const std::string& id,
   return out;
 }
 
-int Serve(const ServeArgs& args, std::istream& in) {
+int Serve(const ServeArgs& args, int in_fd) {
   const serving::SnapshotSource source = MakeSource(args);
   auto built = serving::BuildServingSnapshot(source);
   if (!built.ok()) {
@@ -185,7 +293,7 @@ int Serve(const ServeArgs& args, std::istream& in) {
 
   // Worker/watchdog threads are spawned with SIGINT/SIGTERM blocked so the
   // kernel routes a process-directed signal to the main thread — the one
-  // blocked in getline, which must wake up for the drain to start.
+  // blocked in read(2), which must wake up for the drain to start.
   sigset_t drain_signals;
   sigemptyset(&drain_signals);
   sigaddset(&drain_signals, SIGINT);
@@ -199,25 +307,25 @@ int Serve(const ServeArgs& args, std::istream& in) {
                engine.snapshot()->db().num_recipes(),
                static_cast<unsigned long long>(engine.generation()));
 
-  std::string line;
-  while (g_signal == 0 && std::getline(in, line)) {
+  LineReader reader(in_fd);
+  std::string_view line;
+  while (g_signal == 0 && reader.Next(&line)) {
     if (line.empty()) continue;
     auto parsed = serving::ParseRequestLine(line);
     if (!parsed.ok()) {
-      std::cout << serving::SerializeError("", parsed.status()) << '\n'
-                << std::flush;
+      WriteLine(serving::SerializeError("", parsed.status()));
       continue;
     }
-    const serving::WireRequest& wire = parsed.value();
+    serving::WireRequest& wire = parsed.value();
     if (wire.is_admin && wire.op == "shutdown") {
-      std::cout << AdminHead(wire.id, "shutdown") << "}\n" << std::flush;
+      WriteLine(AdminHead(wire.id, "shutdown") + "}");
       break;
     }
     if (wire.is_admin && wire.op == "health") {
       if (args.slo) {
         slo.ExportGauges(obs::MetricsRegistry::Default(), SteadyNowS());
       }
-      std::cout << HealthJson(wire.id, engine, reloads) << '\n' << std::flush;
+      WriteLine(HealthJson(wire.id, engine, reloads));
       continue;
     }
     if (wire.is_admin && wire.op == "reload") {
@@ -226,50 +334,51 @@ int Serve(const ServeArgs& args, std::istream& in) {
         std::string answer = AdminHead(wire.id, "reload");
         answer += ",\"generation\":";
         json::AppendNumber(answer, engine.generation());
-        std::cout << answer << "}\n" << std::flush;
+        WriteLine(answer + "}");
       } else {
         // The engine keeps serving its last good snapshot (health
         // "degraded"); the error goes to the caller, not the process.
-        std::cout << serving::SerializeError(wire.id, status) << '\n'
-                  << std::flush;
+        WriteLine(serving::SerializeError(wire.id, status));
       }
       continue;
     }
+    // Query lines are evaluated here, on the thread that read them, behind
+    // the gate `Submit` applies. A batch line is one unit of work: its
+    // sub-requests share one pinned snapshot, and their answers come back
+    // in wire order.
+    const Status gate = engine.AdmissionGate();
     if (wire.is_batch) {
-      // Submit every sub-request before collecting any answer: they land on
-      // the admission queue back-to-back, so a coalescing worker sweeps
-      // them against one pinned snapshot. Responses come back in wire
-      // order regardless of evaluation order.
-      std::vector<std::future<serving::Response>> futures;
+      std::vector<serving::Request> requests;
       std::vector<std::string> sub_ids;
-      futures.reserve(wire.batch.size());
+      requests.reserve(wire.batch.size());
       sub_ids.reserve(wire.batch.size());
-      for (const serving::WireRequest& sub : wire.batch) {
-        futures.push_back(engine.Submit(sub.request));
-        sub_ids.push_back(sub.id);
+      for (serving::WireRequest& sub : wire.batch) {
+        requests.push_back(std::move(sub.request));
+        sub_ids.push_back(std::move(sub.id));
       }
       std::vector<serving::Response> responses;
-      responses.reserve(futures.size());
-      for (std::future<serving::Response>& future : futures) {
-        responses.push_back(future.get());
+      if (gate.ok()) {
+        responses = engine.ExecuteBatch(requests);
+      } else {
+        for (const serving::Request& request : requests) {
+          responses.push_back(Refused(engine, request, gate));
+        }
       }
-      std::cout << serving::SerializeBatchResponse(wire.id, sub_ids, responses)
-                << '\n'
-                << std::flush;
+      WriteLine(serving::SerializeBatchResponse(wire.id, sub_ids, responses));
       continue;
     }
-    std::future<serving::Response> future = engine.Submit(wire.request);
-    std::cout << serving::SerializeResponse(wire.id, future.get()) << '\n'
-              << std::flush;
+    WriteLine(serving::SerializeResponse(
+        wire.id, gate.ok() ? engine.Execute(wire.request)
+                           : Refused(engine, wire.request, gate)));
   }
 
   if (g_signal != 0) {
     std::fprintf(stderr, "culinary_serve: signal %d; draining\n",
                  static_cast<int>(g_signal));
   }
-  // Graceful drain, signal or EOF alike: close admission first so queued
-  // work finishes under kDraining, then stop (workers drain the queue
-  // before joining — their futures all resolve).
+  // Graceful drain, signal or EOF alike: the line being answered has
+  // finished; close admission, then stop (workers drain any queued
+  // submissions before joining — their futures all resolve).
   engine.BeginDrain();
   engine.Stop();
 
@@ -311,7 +420,9 @@ int main(int argc, char** argv) {
                          "load the world from this snapshot"),
            flags::Unsigned("seed", &args.seed,
                            "world seed, 0 = the spec's own"),
-           flags::Unsigned("threads", &args.threads, "worker threads"),
+           flags::Unsigned("threads", &args.threads,
+                           "worker threads for queued submissions; wire "
+                           "lines are answered on the reading thread"),
            flags::Unsigned("null-recipes", &args.null_recipes,
                            "null recipes per cuisine baseline, 0 = no "
                            "baselines"),
@@ -336,15 +447,16 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!args.requests_file.empty()) {
-    std::ifstream file(args.requests_file);
-    if (!file) {
+    const int fd = ::open(args.requests_file.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
       std::fprintf(stderr, "culinary_serve: cannot open %s\n",
                    args.requests_file.c_str());
       return 1;
     }
-    rc = Serve(args, file);
+    rc = Serve(args, fd);
+    ::close(fd);
   } else {
-    rc = Serve(args, std::cin);
+    rc = Serve(args, STDIN_FILENO);
   }
 
   if (!args.metrics_out.empty()) {
