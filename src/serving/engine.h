@@ -106,9 +106,9 @@ class QueryEngine {
 
   /// Enters `kDraining`: admission closes (`AdmissionGate` refuses, so
   /// `Submit` sheds with `kUnavailable`), queued and in-flight requests
-  /// still complete, and
-  /// direct `Execute` keeps working so the drain can be observed. Reloads
-  /// are rejected from here on. Idempotent; no-op once stopped.
+  /// still complete, and direct `Execute` keeps working so the drain can be
+  /// observed. Reloads are rejected from here on. Idempotent; no-op once
+  /// stopped.
   void BeginDrain();
 
   /// The currently published snapshot / generation. Any thread, any time.
