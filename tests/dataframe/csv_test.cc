@@ -221,6 +221,26 @@ TEST(CsvFileTest, MissingFileIsIOError) {
   EXPECT_TRUE(r.status().IsIOError());
 }
 
+TEST(CsvFileTest, ReadsAPipeToItsEnd) {
+  // A pipe has no size, so it is read to its end. The text fits in the
+  // pipe's buffer, so it is written in full before the read.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const std::string text = "a,b\n1,x\n2,\"y\nz\"\n";
+  ASSERT_EQ(write(fds[1], text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  close(fds[1]);
+  auto back = ReadFile("/dev/fd/" + std::to_string(fds[0]));
+  close(fds[0]);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, (std::vector<Record>{{"a", "b"}, {"1", "x"}, {"2", "y\nz"}}));
+}
+
+TEST(CsvFileTest, DirectoryIsIOError) {
+  auto r = ReadFile(::testing::TempDir());
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
+}
+
 TEST(CsvFileTest, UnwritablePathIsIOError) {
   Schema schema({{"a", DataType::kInt64}});
   auto t = Table::Make(schema);
