@@ -25,8 +25,8 @@ namespace culinary::serving {
 ///
 /// Plus one explicit batching envelope: an array of query sub-requests
 /// answered by one response line carrying the sub-responses in order (the
-/// server submits them back-to-back, so they coalesce into shared-snapshot
-/// sweeps):
+/// server evaluates them as one unit of work, one `ExecuteBatch` against
+/// one pinned snapshot, so its suggests share one sweep):
 ///
 ///   {"id":"b1","op":"batch","requests":[
 ///       {"id":"r9","op":"score","ingredients":["beef","onion"]},
