@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -261,26 +260,14 @@ culinary::Status ForEachCsvFileRecord(const std::string& path,
   if (!in) {
     return culinary::Status::IOError("cannot open file: " + path);
   }
+  // Read to the end, so a pipe (which has no size) reads like a file: the
+  // last read comes up short, and only a read error (badbit) fails.
   std::string text;
-  std::error_code size_error;
-  if (std::filesystem::is_regular_file(path, size_error)) {
-    const uintmax_t size = std::filesystem::file_size(path, size_error);
-    if (size_error) {
-      return culinary::Status::IOError("cannot size file: " + path + ": " +
-                                       size_error.message());
-    }
-    text.resize(size);
-    in.read(text.data(), static_cast<std::streamsize>(size));
-  } else {
-    // A pipe or another stream has no size: read it to its end, where a
-    // short read is expected and only a read error (badbit) fails.
-    char chunk[1 << 16];
-    while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-      text.append(chunk, static_cast<size_t>(in.gcount()));
-    }
-    if (!in.bad()) in.clear();
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
   }
-  if (!in) {
+  if (in.bad()) {
     return culinary::Status::IOError("error reading file: " + path);
   }
   CULINARY_RETURN_IF_ERROR(FaultInjector::Global()

@@ -72,9 +72,9 @@ culinary::Result<std::vector<size_t>> FindCsvColumns(
     std::span<const CsvField> header,
     std::initializer_list<std::string_view> names);
 
-/// Reads `path` and runs `ForEachCsvRecord` over it: a regular file in one
-/// sized read, anything else (a pipe, /dev/stdin) to its end. IOError when
-/// the file cannot be opened or read. Checks the `csv.open` / `csv.read`
+/// Reads `path` to its end (a regular file, a pipe or /dev/stdin alike) and
+/// runs `ForEachCsvRecord` over it. IOError when the file cannot be opened
+/// or read (a directory). Checks the `csv.open` / `csv.read`
 /// fault-injection sites (see robustness/fault_injector.h), making every
 /// IO failure path testable.
 culinary::Status ForEachCsvFileRecord(const std::string& path,
