@@ -232,16 +232,6 @@ std::vector<Response> QueryEngine::ExecuteBatch(
   return responses;
 }
 
-culinary::Status QueryEngine::AdmissionGate() const {
-  if (stopped_.load(std::memory_order_acquire)) {
-    return culinary::Status::Unavailable("engine stopped");
-  }
-  if (health_.load(std::memory_order_acquire) == HealthState::kDraining) {
-    return culinary::Status::Unavailable("draining; admission closed");
-  }
-  return culinary::Status::OK();
-}
-
 std::future<Response> QueryEngine::Submit(Request request) {
   PendingRequest item;
   item.request = std::move(request);
@@ -258,8 +248,11 @@ std::future<Response> QueryEngine::Submit(Request request) {
       shed_status = admit.IsTransient()
                         ? admit
                         : culinary::Status::Unavailable(admit.message());
-    } else if (culinary::Status gate = AdmissionGate(); !gate.ok()) {
-      shed_status = std::move(gate);
+    } else if (stopped_.load(std::memory_order_acquire)) {
+      shed_status = culinary::Status::Unavailable("engine stopped");
+    } else if (health_.load(std::memory_order_acquire) ==
+               HealthState::kDraining) {
+      shed_status = culinary::Status::Unavailable("draining; admission closed");
     } else if (queue_.size() >= queue_capacity_) {
       shed_status = culinary::Status::Unavailable("admission queue full");
     } else {

@@ -104,11 +104,10 @@ class QueryEngine {
   /// keep being answered from the last good snapshot either way.
   void MarkDegraded();
 
-  /// Enters `kDraining`: admission closes (`AdmissionGate` refuses, so
-  /// `Submit` sheds with `kUnavailable`), queued and in-flight requests
-  /// still complete, and direct `Execute` keeps working so the drain can be
-  /// observed. Reloads are rejected from here on. Idempotent; no-op once
-  /// stopped.
+  /// Enters `kDraining`: admission closes (`Submit` sheds with
+  /// `kUnavailable`), queued and in-flight requests still complete, and
+  /// direct `Execute` keeps working so the drain can be observed. Reloads
+  /// are rejected from here on. Idempotent; no-op once stopped.
   void BeginDrain();
 
   /// The currently published snapshot / generation. Any thread, any time.
@@ -131,18 +130,10 @@ class QueryEngine {
   /// coalesced caller actually observed.
   std::vector<Response> ExecuteBatch(std::span<const Request> requests) const;
 
-  /// The health gate on new work: OK while the engine admits it, and
-  /// `kUnavailable` once the engine is stopped ("engine stopped") or
-  /// draining ("draining; admission closed"). `Submit` refuses with it; a
-  /// caller that evaluates on its own thread checks it before `Execute` or
-  /// `ExecuteBatch`, which stay ungated so a drain can finish work already
-  /// taken.
-  culinary::Status AdmissionGate() const;
-
   /// Queued submission through the bounded admission queue. The returned
   /// future is immediately ready with `kUnavailable` (explicit shed;
-  /// retryable) when the queue is full, `AdmissionGate` refuses, or the
-  /// request's deadline is already shorter than its estimated queue
+  /// retryable) when the queue is full, the engine is draining or stopped,
+  /// or the request's deadline is already shorter than its estimated queue
   /// wait. That estimate (deadline-aware admission) is the EWMA of observed
   /// per-unit service times, scaled by the work ahead of the request and
   /// divided by the observed mean batch size, since a coalescing worker
