@@ -448,18 +448,23 @@ Response EvaluateQuery(const ServingSnapshot& snapshot, const Request& request,
 std::vector<Response> EvaluateBatch(const ServingSnapshot& snapshot,
                                     std::span<const Request> requests) {
   std::vector<Response> responses(requests.size());
-  // Gather suggest requests into one sweep; everything else is a cheap point
-  // read dispatched per element.
+  // Everything but suggest is a cheap point read dispatched per element.
+  // It goes first, so a suggest's deadline counts its sweep, not the rest
+  // of a mixed batch.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    if (request.endpoint != Endpoint::kSuggest) {
+      responses[i] = EvaluateQuery(snapshot, request, MakeContext(request));
+    }
+  }
+  // Then the suggests, gathered into one sweep.
   std::vector<SuggestJob> jobs;
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
-    const QueryContext context = MakeContext(request);
-    if (request.endpoint != Endpoint::kSuggest) {
-      responses[i] = EvaluateQuery(snapshot, request, context);
-      continue;
-    }
+    if (request.endpoint != Endpoint::kSuggest) continue;
     responses[i].endpoint = Endpoint::kSuggest;
-    GatherSuggestJob(snapshot, request, context, i, jobs, responses[i]);
+    GatherSuggestJob(snapshot, request, MakeContext(request), i, jobs,
+                     responses[i]);
   }
   if (!jobs.empty()) SuggestSweep(snapshot, jobs, responses);
   return responses;

@@ -177,7 +177,8 @@ Response EvaluateQuery(const ServingSnapshot& snapshot, const Request& request,
 /// only evaluation path; `QueryEngine::Execute` is a batch of one.
 ///
 /// Non-suggest endpoints dispatch through `EvaluateQuery` per element (they
-/// are cheap point reads). Suggest requests are gathered into one
+/// are cheap point reads), all before any suggest starts its deadline
+/// clock. Suggest requests are then gathered into one
 /// structure-of-arrays sweep over the shared-compound matrix: per-request
 /// ingredient sets are resolved up front (dense indices + a
 /// `flavor::CompoundBitset` membership mask each), the distinct set-member
