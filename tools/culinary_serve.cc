@@ -6,7 +6,7 @@
 // format):
 //
 //   culinary_serve --small
-//   culinary_serve --snapshot-in=world.snap --threads=8
+//   culinary_serve --snapshot-in=world.snap
 //   loadgen --small --count=1000 | culinary_serve --small
 //
 // The world comes from a generated spec or from a binary world snapshot.
@@ -15,15 +15,14 @@
 // degrades startup, never kills it.
 //
 // The thread that reads a line also answers it: a point line through
-// `QueryEngine::Execute`, a batch line as one `ExecuteBatch` sweep over its
-// sub-requests against one pinned snapshot, both behind the engine's
-// admission gate (a draining or stopped engine answers Unavailable). Lines
-// are framed with read(2) and each answer goes out in one write(2) loop.
-// One line is answered at a time, so no admission queue builds: the wire
-// never sheds by queue capacity or deadline estimate, and each request
-// runs under its own deadline from the start of its evaluation. The
+// `QueryEngine::Execute`, a batch line as one `ExecuteBatch` over its
+// sub-requests against one pinned snapshot. Lines are split by getline(3)
+// and each answer goes out in one write(2) loop. One line is answered at a
+// time, so nothing queues and nothing is shed; each request runs under its
+// own deadline from the start of its evaluation (a batch line's suggests
+// share one sweep, which their deadlines all count). The engine's
 // --threads worker pool and its watchdog serve queued `Submit` callers,
-// not the wire.
+// and this server has none: the pool idles.
 //
 // Admin ops on the wire: {"op":"reload"} rebuilds the world from the same
 // source through the hardened reload path (up to 3 attempts per reload; 3
@@ -32,18 +31,18 @@
 // RCU-swaps it in; {"op":"health"} reports the health state, generation
 // and counters; {"op":"shutdown"} drains and exits 0.
 //
-// SIGINT/SIGTERM likewise drain gracefully: admission closes (kDraining),
-// in-flight requests finish, metrics are flushed, exit status 0.
+// SIGINT/SIGTERM likewise end the loop and drain gracefully: the line being
+// evaluated finishes, metrics are flushed, exit status 0. An answer still
+// blocked on a full stdout when the signal lands is cut, not waited on.
 
-#include <fcntl.h>
 #include <pthread.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -73,8 +72,9 @@ volatile std::sig_atomic_t g_signal = 0;
 extern "C" void HandleSignal(int sig) { g_signal = sig; }
 
 /// Installs the drain handler WITHOUT SA_RESTART: a SIGINT/SIGTERM landing
-/// while the serve loop is blocked in read(2) makes the read fail with
-/// EINTR instead of restarting, so the loop exits and the drain runs.
+/// while the serve loop is blocked in read(2) or write(2) ends the call
+/// with EINTR instead of restarting it, so the loop exits and the drain
+/// runs.
 void InstallSignalHandlers() {
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
@@ -125,99 +125,23 @@ serving::SnapshotSource MakeSource(const ServeArgs& args) {
   return source;
 }
 
-/// Splits the bytes of one file descriptor into lines as an istream's
-/// `getline` does: on '\n' only (a '\r' stays in the line), through a
-/// buffer that grows for a line longer than one read, with a last line that
-/// has no '\n' still returned. A failed read ends the input as end-of-file
-/// would, so a read interrupted by SIGINT/SIGTERM (EINTR) ends the serve
-/// loop.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// The next line without its '\n', valid until the next call; false once
-  /// the input is exhausted.
-  bool Next(std::string_view* line) {
-    for (;;) {
-      const char* base = buffer_.data();
-      if (scanned_ < end_) {
-        const void* newline =
-            std::memchr(base + scanned_, '\n', end_ - scanned_);
-        if (newline != nullptr) {
-          const size_t at = static_cast<size_t>(
-              static_cast<const char*>(newline) - base);
-          *line = std::string_view(base + start_, at - start_);
-          start_ = scanned_ = at + 1;
-          return true;
-        }
-        scanned_ = end_;
-      }
-      if (ended_) {
-        if (start_ == end_) return false;
-        *line = std::string_view(base + start_, end_ - start_);
-        start_ = end_;
-        return true;
-      }
-      Fill();
-    }
-  }
-
- private:
-  static constexpr size_t kReadBytes = 64 * 1024;
-
-  /// Moves the unconsumed bytes to the front, grows the buffer when they
-  /// fill it, and appends one read's worth.
-  void Fill() {
-    if (start_ > 0) {
-      std::memmove(buffer_.data(), buffer_.data() + start_, end_ - start_);
-      end_ -= start_;
-      scanned_ -= start_;
-      start_ = 0;
-    }
-    if (buffer_.size() - end_ < kReadBytes) {
-      buffer_.resize(end_ + std::max(end_, kReadBytes));
-    }
-    const ssize_t n = ::read(fd_, buffer_.data() + end_, buffer_.size() - end_);
-    if (n > 0) {
-      end_ += static_cast<size_t>(n);
-    } else {
-      ended_ = true;
-    }
-  }
-
-  int fd_;
-  std::vector<char> buffer_;
-  size_t start_ = 0;    ///< first byte of the next line
-  size_t scanned_ = 0;  ///< bytes before this hold no '\n' after start_
-  size_t end_ = 0;      ///< bytes read so far
-  bool ended_ = false;  ///< end of file or a failed read
-};
-
 /// Writes `answer` and its '\n' to stdout, retrying partial writes and
-/// EINTR so that no answer is cut. Gives up only on a write error.
+/// EINTR so that no answer is cut, until a drain signal arrives: then a
+/// write the signal interrupted ends the answer there, since the reader may
+/// never make room for the rest. Gives up on a write error.
 void WriteLine(std::string answer) {
   answer.push_back('\n');
   const char* data = answer.data();
   size_t left = answer.size();
   while (left > 0) {
     const ssize_t n = ::write(STDOUT_FILENO, data, left);
-    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && errno == EINTR && g_signal == 0) continue;
     if (n <= 0) return;
     data += n;
     left -= static_cast<size_t>(n);
+    // A blocking write stops short only when a signal lands mid-write.
+    if (left > 0 && g_signal != 0) return;
   }
-}
-
-/// What a closed admission gate answers `request`: the status `Submit`
-/// sheds with, at the published generation.
-serving::Response Refused(const serving::QueryEngine& engine,
-                          const serving::Request& request,
-                          const Status& gate) {
-  serving::Response response;
-  response.endpoint = request.endpoint;
-  response.generation = engine.generation();
-  response.status = gate;
-  return response;
 }
 
 int64_t SteadyNowS() {
@@ -268,7 +192,7 @@ std::string HealthJson(const std::string& id,
   return out;
 }
 
-int Serve(const ServeArgs& args, int in_fd) {
+int Serve(const ServeArgs& args, std::FILE* in) {
   const serving::SnapshotSource source = MakeSource(args);
   auto built = serving::BuildServingSnapshot(source);
   if (!built.ok()) {
@@ -307,9 +231,17 @@ int Serve(const ServeArgs& args, int in_fd) {
                engine.snapshot()->db().num_recipes(),
                static_cast<unsigned long long>(engine.generation()));
 
-  LineReader reader(in_fd);
-  std::string_view line;
-  while (g_signal == 0 && reader.Next(&line)) {
+  // getline(3) splits on '\n' only (a '\r' or a NUL stays in the line),
+  // grows its buffer for a long line and returns a last line that has no
+  // '\n'. A failed read ends the input as end-of-file does, so a read
+  // interrupted by SIGINT/SIGTERM (EINTR) ends the loop.
+  char* buffer = nullptr;
+  size_t capacity = 0;
+  ssize_t length = 0;
+  while (g_signal == 0 &&
+         (length = ::getline(&buffer, &capacity, in)) >= 0) {
+    std::string_view line(buffer, static_cast<size_t>(length));
+    if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
     if (line.empty()) continue;
     auto parsed = serving::ParseRequestLine(line);
     if (!parsed.ok()) {
@@ -342,11 +274,9 @@ int Serve(const ServeArgs& args, int in_fd) {
       }
       continue;
     }
-    // Query lines are evaluated here, on the thread that read them, behind
-    // the gate `Submit` applies. A batch line is one unit of work: its
-    // sub-requests share one pinned snapshot, and their answers come back
-    // in wire order.
-    const Status gate = engine.AdmissionGate();
+    // Query lines are evaluated here, on the thread that read them. A batch
+    // line is one unit of work: its sub-requests share one pinned snapshot,
+    // and their answers come back in wire order.
     if (wire.is_batch) {
       std::vector<serving::Request> requests;
       std::vector<std::string> sub_ids;
@@ -356,29 +286,20 @@ int Serve(const ServeArgs& args, int in_fd) {
         requests.push_back(std::move(sub.request));
         sub_ids.push_back(std::move(sub.id));
       }
-      std::vector<serving::Response> responses;
-      if (gate.ok()) {
-        responses = engine.ExecuteBatch(requests);
-      } else {
-        for (const serving::Request& request : requests) {
-          responses.push_back(Refused(engine, request, gate));
-        }
-      }
-      WriteLine(serving::SerializeBatchResponse(wire.id, sub_ids, responses));
+      WriteLine(serving::SerializeBatchResponse(
+          wire.id, sub_ids, engine.ExecuteBatch(requests)));
       continue;
     }
-    WriteLine(serving::SerializeResponse(
-        wire.id, gate.ok() ? engine.Execute(wire.request)
-                           : Refused(engine, wire.request, gate)));
+    WriteLine(serving::SerializeResponse(wire.id, engine.Execute(wire.request)));
   }
+  std::free(buffer);
 
   if (g_signal != 0) {
     std::fprintf(stderr, "culinary_serve: signal %d; draining\n",
                  static_cast<int>(g_signal));
   }
   // Graceful drain, signal or EOF alike: the line being answered has
-  // finished; close admission, then stop (workers drain any queued
-  // submissions before joining — their futures all resolve).
+  // finished; close admission, then stop the idle pool.
   engine.BeginDrain();
   engine.Stop();
 
@@ -421,8 +342,8 @@ int main(int argc, char** argv) {
            flags::Unsigned("seed", &args.seed,
                            "world seed, 0 = the spec's own"),
            flags::Unsigned("threads", &args.threads,
-                           "worker threads for queued submissions; wire "
-                           "lines are answered on the reading thread"),
+                           "worker threads of the engine's Submit pool, "
+                           "idle here: lines are answered as they are read"),
            flags::Unsigned("null-recipes", &args.null_recipes,
                            "null recipes per cuisine baseline, 0 = no "
                            "baselines"),
@@ -447,16 +368,16 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!args.requests_file.empty()) {
-    const int fd = ::open(args.requests_file.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
+    std::FILE* file = std::fopen(args.requests_file.c_str(), "r");
+    if (file == nullptr) {
       std::fprintf(stderr, "culinary_serve: cannot open %s\n",
                    args.requests_file.c_str());
       return 1;
     }
-    rc = Serve(args, fd);
-    ::close(fd);
+    rc = Serve(args, file);
+    std::fclose(file);
   } else {
-    rc = Serve(args, STDIN_FILENO);
+    rc = Serve(args, stdin);
   }
 
   if (!args.metrics_out.empty()) {
