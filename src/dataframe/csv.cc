@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -261,8 +262,14 @@ culinary::Status ForEachCsvFileRecord(const std::string& path,
     return culinary::Status::IOError("cannot open file: " + path);
   }
   // Read to the end, so a pipe (which has no size) reads like a file: the
-  // last read comes up short, and only a read error (badbit) fails.
+  // last read comes up short, and only a read error (badbit) fails. A
+  // file's size, when it has one, is reserved up front: left to grow by
+  // doubling, the paper-scale recipes file (5.2 MB) raised the peak RSS of
+  // its load by about 5 MB.
   std::string text;
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) text.reserve(size);
   char chunk[1 << 16];
   while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
     text.append(chunk, static_cast<size_t>(in.gcount()));
