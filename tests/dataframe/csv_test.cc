@@ -233,7 +233,8 @@ TEST(CsvFileTest, ReadsAPipeToItsEnd) {
   auto back = ReadFile("/dev/fd/" + std::to_string(fds[0]));
   close(fds[0]);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, (std::vector<Record>{{"a", "b"}, {"1", "x"}, {"2", "y\nz"}}));
+  EXPECT_EQ(*back,
+            (std::vector<Record>{{"a", "b"}, {"1", "x"}, {"2", "y\nz"}}));
 }
 
 TEST(CsvFileTest, DirectoryIsIOError) {

@@ -290,7 +290,8 @@ int Serve(const ServeArgs& args, std::FILE* in) {
           wire.id, sub_ids, engine.ExecuteBatch(requests)));
       continue;
     }
-    WriteLine(serving::SerializeResponse(wire.id, engine.Execute(wire.request)));
+    WriteLine(
+        serving::SerializeResponse(wire.id, engine.Execute(wire.request)));
   }
   std::free(buffer);
 
