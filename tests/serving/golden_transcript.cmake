@@ -6,20 +6,24 @@
 # itself.
 #
 #   cmake -DLOADGEN=<loadgen> -DSERVE=<culinary_serve> -DBATCH=<n>
-#         -DEXPECTED=<sha256 hex> [-DSERVE_ARGS=<flags>]
+#         -DEXPECTED=<sha256 hex> [-DK=<k>] [-DSERVE_ARGS=<flags>]
 #         -P golden_transcript.cmake
 #
-# BATCH is loadgen's --batch (0 = one request per line). SERVE_ARGS, a
-# CMake list, is appended to the server's command line.
+# BATCH is loadgen's --batch (0 = one request per line) and K its --k, the
+# suggest and neighbour budget (default 10). SERVE_ARGS, a CMake list, is
+# appended to the server's command line.
 
 foreach(var LOADGEN SERVE BATCH EXPECTED)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_transcript: -D${var}= is required")
   endif()
 endforeach()
+if(NOT DEFINED K)
+  set(K 10)
+endif()
 
 execute_process(
-  COMMAND ${LOADGEN} --small --count=2000 --k=10 --batch=${BATCH} --shutdown
+  COMMAND ${LOADGEN} --small --count=2000 --k=${K} --batch=${BATCH} --shutdown
   COMMAND ${SERVE} --small --threads=2 ${SERVE_ARGS}
   OUTPUT_VARIABLE transcript
   ERROR_VARIABLE server_log
@@ -35,8 +39,10 @@ endforeach()
 string(SHA256 digest "${transcript}")
 if(NOT digest STREQUAL EXPECTED)
   message(FATAL_ERROR
-    "golden_transcript: --batch=${BATCH} ${SERVE_ARGS} stdout SHA-256 is\n"
+    "golden_transcript: --batch=${BATCH} --k=${K} ${SERVE_ARGS} stdout "
+    "SHA-256 is\n"
     "  ${digest}\n"
     "expected\n  ${EXPECTED}")
 endif()
-message(STATUS "golden_transcript: --batch=${BATCH} ${SERVE_ARGS} ${digest}")
+message(STATUS
+  "golden_transcript: --batch=${BATCH} --k=${K} ${SERVE_ARGS} ${digest}")

@@ -5,6 +5,7 @@
 // score ties and across 1/4/16 serving threads.
 
 #include <algorithm>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -158,6 +159,62 @@ TEST(ServingEquivalenceTest, EndpointsMatchBatchPathAcrossSeeds) {
       for (size_t j = 0; j < batch_neighbors->size(); ++j) {
         EXPECT_EQ(served->neighbors[j].first, (*batch_neighbors)[j].first);
         EXPECT_EQ(served->neighbors[j].second, (*batch_neighbors)[j].second);
+      }
+    }
+  }
+}
+
+TEST(ServingEquivalenceTest, SuggestMatchesBruteForceAtEdgesOfK) {
+  // One EvaluateBatch per seed asks every sampled recipe for no suggestion,
+  // one, ten, all candidates but one, exactly all, the cache size and an
+  // unbounded k: the sweep must clamp k and rank the whole candidate list,
+  // zero-gain ties included, exactly as the brute-force reference does.
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto built = ServingSnapshot::FromSyntheticWorld(GenerateSmall(seed), {});
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const ServingSnapshot& snapshot = **built;
+
+    datagen::SyntheticWorld batch = GenerateSmall(seed);
+    const analysis::PairingCache cache(
+        batch.registry(), batch.db().WorldCuisine().unique_ingredients());
+    const size_t n = cache.num_ingredients();
+
+    std::vector<Request> requests;
+    std::vector<size_t> request_recipe;
+    const std::vector<recipe::Recipe>& recipes = batch.db().recipes();
+    for (size_t i = 0; i < recipes.size(); i += recipes.size() / 8 + 1) {
+      const std::vector<IngredientId>& ingredients = recipes[i].ingredients;
+      const size_t set_size = static_cast<size_t>(
+          std::count_if(ingredients.begin(), ingredients.end(),
+                        [&](IngredientId id) {
+                          return cache.DenseIndex(id) >= 0;
+                        }));
+      const size_t candidates = n - set_size;
+      for (size_t k : {size_t{0}, size_t{1}, size_t{10}, candidates - 1,
+                       candidates, n, SIZE_MAX}) {
+        Request suggest;
+        suggest.endpoint = Endpoint::kSuggest;
+        suggest.ingredient_ids = ingredients;
+        suggest.k = k;
+        requests.push_back(std::move(suggest));
+        request_recipe.push_back(i);
+      }
+    }
+    const std::vector<Response> answers = EvaluateBatch(snapshot, requests);
+    ASSERT_EQ(answers.size(), requests.size());
+    for (size_t r = 0; r < requests.size(); ++r) {
+      SCOPED_TRACE("recipe " + std::to_string(request_recipe[r]) + ", k " +
+                   std::to_string(requests[r].k));
+      ASSERT_TRUE(answers[r].status.ok()) << answers[r].status.ToString();
+      const auto& suggestions =
+          std::get<std::vector<Suggestion>>(answers[r].payload);
+      const auto expected = BruteForceSuggest(
+          cache, requests[r].ingredient_ids, requests[r].k);
+      ASSERT_EQ(suggestions.size(), expected.size());
+      for (size_t j = 0; j < expected.size(); ++j) {
+        EXPECT_EQ(suggestions[j].id, expected[j].second) << "rank " << j;
+        EXPECT_EQ(suggestions[j].gain, expected[j].first) << "rank " << j;
       }
     }
   }
