@@ -1,10 +1,13 @@
 #include "serving/queries.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/pairing.h"
 #include "analysis/similarity.h"
@@ -94,32 +97,6 @@ culinary::Result<std::vector<int>> SuggestSetFor(
         std::to_string(kMaxSuggestSetSize));
   }
   return set_dense;
-}
-
-/// Deterministic ranking under ties: descending gain, then ascending
-/// ingredient id. A strict total order over unique ids, so the top-K the
-/// sweep's bounded heap keeps is a pure function of the snapshot —
-/// bit-identical across any number of serving threads and any batching.
-bool BetterSuggestion(const std::pair<double, flavor::IngredientId>& a,
-                      const std::pair<double, flavor::IngredientId>& b) {
-  if (a.first != b.first) return a.first > b.first;
-  return a.second < b.second;
-}
-
-/// Final (gain, id) → Suggestion materialization.
-std::vector<Suggestion> MakeSuggestions(
-    const flavor::FlavorRegistry& registry,
-    const std::vector<std::pair<double, flavor::IngredientId>>& scored) {
-  std::vector<Suggestion> suggestions;
-  suggestions.reserve(scored.size());
-  for (const auto& [gain, id] : scored) {
-    Suggestion s;
-    s.id = id;
-    s.name = NameFor(registry, id);
-    s.gain = gain;
-    suggestions.push_back(std::move(s));
-  }
-  return suggestions;
 }
 
 /// Splits names into (resolved ids, unresolved names).
@@ -235,6 +212,40 @@ culinary::Result<SimilarResult> SimilarCuisines(const ServingSnapshot& snapshot,
 
 namespace {
 
+/// Flips the sign bit: an order-preserving map from int32 ids to uint32.
+constexpr uint32_t kIdSignBit = 0x80000000u;
+
+/// A candidate's rank within one job as one integer; a larger key is a
+/// better suggestion, so key order is (gain desc, id asc), a strict total
+/// order over unique ids. The high word is the gain numerator. Every gain
+/// of a job divides its numerator by the same m = |set| <= 2^16, so two
+/// different numerators (< 2^32) give quotients at least 2^-16 apart, far
+/// more than rounding moves either; equal numerators give equal gains.
+/// The low word is the complemented, order-mapped id, so the smaller id
+/// wins a tie.
+uint64_t SuggestKey(uint32_t numerator, flavor::IngredientId id) {
+  return (uint64_t{numerator} << 32) |
+         ~(static_cast<uint32_t>(id) ^ kIdSignBit);
+}
+
+flavor::IngredientId SuggestKeyId(uint64_t key) {
+  return static_cast<flavor::IngredientId>(~static_cast<uint32_t>(key) ^
+                                           kIdSignBit);
+}
+
+/// Replaces the root of the min-heap `heap` by `key` and sifts it down.
+void ReplaceHeapRoot(std::vector<uint64_t>& heap, uint64_t key) {
+  const size_t size = heap.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && heap[child + 1] < heap[child]) ++child;
+    if (key < heap[child]) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = key;
+}
+
 /// One suggest request gathered for the sweep.
 struct SuggestJob {
   size_t index = 0;          ///< slot in the responses the sweep writes
@@ -293,7 +304,10 @@ void GatherSuggestJob(const ServingSnapshot& snapshot, const Request& request,
 /// cache-hot), added into each requesting job's accumulator. Integer
 /// addition is order-insensitive, so the numerators, and the gains divided
 /// from them, do not depend on how requests were batched. Phase 2 ranks
-/// candidates per job through a bounded top-K heap under `BetterSuggestion`.
+/// each job's candidates on `SuggestKey` in a bounded min-heap of k keys,
+/// whose root is the floor a candidate must beat: one integer compare
+/// rejects most candidates before the membership test, and only the kept
+/// keys are divided into gains.
 void SuggestSweep(const ServingSnapshot& snapshot,
                   std::vector<SuggestJob>& jobs,
                   std::span<Response> responses) {
@@ -325,16 +339,21 @@ void SuggestSweep(const ServingSnapshot& snapshot,
   }
 
   // Phase 2: bounded top-K selection per job.
-  std::vector<std::pair<double, flavor::IngredientId>> kept;
+  std::vector<uint64_t> kept;  // a min-heap once it holds k keys
   for (SuggestJob& job : jobs) {
     if (job.failed) continue;
-    const double m = static_cast<double>(job.set.size());
-    const size_t k = job.k;
-    kept.clear();
     // k is wire-controlled; the heap can never hold more than the n
     // candidates, so clamp before reserving or an absurd k would throw
     // length_error in the worker thread.
-    kept.reserve(std::min(k, n) + 1);
+    const size_t k = std::min(job.k, n);
+    std::vector<Suggestion> suggestions;
+    if (k == 0) {
+      responses[job.index].payload = std::move(suggestions);
+      continue;
+    }
+    kept.clear();
+    kept.reserve(k);
+    const uint32_t* acc = job.acc.data();
     bool stopped = false;
     for (size_t c = 0; c < n; ++c) {
       if (job.stoppable && c % kStopCheckStride == 0) {
@@ -346,24 +365,31 @@ void SuggestSweep(const ServingSnapshot& snapshot,
           break;
         }
       }
+      const uint64_t key = SuggestKey(acc[c], cache.IdAt(c));
+      const bool full = kept.size() == k;
+      if (full && key <= kept[0]) continue;
       if (job.members.Test(static_cast<flavor::MoleculeId>(c))) continue;
-      const std::pair<double, flavor::IngredientId> candidate(
-          static_cast<double>(job.acc[c]) / m, cache.IdAt(c));
-      // The heap is ordered by BetterSuggestion, so its front is the worst
-      // element kept; a candidate beating it displaces it. Over a strict
-      // total order this keeps exactly the k best.
-      if (kept.size() < k) {
-        kept.push_back(candidate);
-        std::push_heap(kept.begin(), kept.end(), BetterSuggestion);
-      } else if (k > 0 && BetterSuggestion(candidate, kept.front())) {
-        std::pop_heap(kept.begin(), kept.end(), BetterSuggestion);
-        kept.back() = candidate;
-        std::push_heap(kept.begin(), kept.end(), BetterSuggestion);
+      if (full) {
+        ReplaceHeapRoot(kept, key);
+      } else {
+        kept.push_back(key);
+        if (kept.size() == k) {
+          std::make_heap(kept.begin(), kept.end(), std::greater<>());
+        }
       }
     }
     if (stopped) continue;
-    std::sort(kept.begin(), kept.end(), BetterSuggestion);
-    responses[job.index].payload = MakeSuggestions(snapshot.registry(), kept);
+    std::sort(kept.begin(), kept.end(), std::greater<>());
+    const double m = static_cast<double>(job.set.size());
+    suggestions.reserve(kept.size());
+    for (uint64_t key : kept) {
+      Suggestion s;
+      s.id = SuggestKeyId(key);
+      s.name = NameFor(snapshot.registry(), s.id);
+      s.gain = static_cast<double>(key >> 32) / m;
+      suggestions.push_back(std::move(s));
+    }
+    responses[job.index].payload = std::move(suggestions);
   }
 }
 
