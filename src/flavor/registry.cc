@@ -1,10 +1,31 @@
 #include "flavor/registry.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "common/string_util.h"
 
 namespace culinary::flavor {
+
+namespace {
+
+/// True when `NormalizeEntityName(name) == name`: no ASCII space at either
+/// end, no byte that std::tolower changes, no tab and no two adjacent
+/// spaces.
+bool IsNormalizedName(std::string_view name) {
+  if (culinary::Trim(name).size() != name.size()) return false;
+  char prev = '\0';
+  for (char c : name) {
+    const int byte = static_cast<unsigned char>(c);
+    if (c == '\t' || (c == ' ' && prev == ' ') || std::tolower(byte) != byte) {
+      return false;
+    }
+    prev = c;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string NormalizeEntityName(std::string_view name) {
   std::string lower = culinary::ToLower(culinary::Trim(name));
@@ -178,7 +199,12 @@ culinary::Status FlavorRegistry::RestoreIngredient(
 }
 
 IngredientId FlavorRegistry::FindByName(std::string_view name) const {
-  auto it = name_index_.find(NormalizeEntityName(name));
+  std::string normalized;
+  if (!IsNormalizedName(name)) {
+    normalized = NormalizeEntityName(name);
+    name = normalized;
+  }
+  auto it = name_index_.find(name);
   if (it == name_index_.end()) return kInvalidIngredient;
   if (ingredients_[static_cast<size_t>(it->second)].removed) {
     return kInvalidIngredient;

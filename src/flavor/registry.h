@@ -1,6 +1,7 @@
 #ifndef CULINARYLAB_FLAVOR_REGISTRY_H_
 #define CULINARYLAB_FLAVOR_REGISTRY_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -121,8 +122,16 @@ class FlavorRegistry {
   std::vector<Molecule> molecules_;
   std::unordered_map<std::string, MoleculeId> molecule_index_;
   std::vector<Ingredient> ingredients_;
+  /// Hashes a key as a string_view, so a lookup builds no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   /// normalized name or synonym → ingredient id.
-  std::unordered_map<std::string, IngredientId> name_index_;
+  std::unordered_map<std::string, IngredientId, NameHash, std::equal_to<>>
+      name_index_;
   size_t live_count_ = 0;
 };
 

@@ -1,6 +1,12 @@
 #include "flavor/registry.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
+#include "datagen/world.h"
 
 namespace culinary::flavor {
 namespace {
@@ -161,6 +167,55 @@ TEST_F(RegistryTest, AllNamesIncludesSynonyms) {
   EXPECT_EQ(names[1].first, "love apple");
   EXPECT_EQ(names[1].second, tomato_);
   EXPECT_EQ(names[2].first, "basil");
+}
+
+/// `text` with every space replaced by `by`.
+std::string ReplaceSpaces(const std::string& text, const std::string& by) {
+  std::string out;
+  for (char c : text) {
+    if (c == ' ') {
+      out += by;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(FindByNameTest, EverySpellingResolvesLikeItsNormalizedForm) {
+  auto world = datagen::GenerateWorld(datagen::WorldSpec::Small());
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  FlavorRegistry registry = world->registry();
+  const auto names = registry.AllNames();
+  ASSERT_FALSE(names.empty());
+  for (const auto& [name, id] : names) {
+    SCOPED_TRACE("name '" + name + "'");
+    EXPECT_EQ(registry.FindByName(name), id);
+    // Spellings that normalize to `name`.
+    for (const std::string& variant :
+         {culinary::ToUpper(name), ReplaceSpaces(name, "\t"),
+          ReplaceSpaces(name, "  "), " " + name, name + " ", "\r" + name,
+          name + "\r", "\v" + name, name + "\v"}) {
+      EXPECT_EQ(registry.FindByName(variant), id);
+    }
+    // Every spelling, whatever it normalizes to, resolves like its
+    // normalized form.
+    const size_t half = name.size() / 2;
+    for (const std::string& variant :
+         {name, culinary::ToUpper(name), ReplaceSpaces(name, "\t"),
+          " " + name + " ", "\r" + name + "\v", std::string(),
+          name.substr(0, half) + std::string(1, '\0') + name.substr(half),
+          name + std::string(1, '\0')}) {
+      EXPECT_EQ(registry.FindByName(variant),
+                registry.FindByName(NormalizeEntityName(variant)));
+    }
+  }
+  // A removed ingredient resolves under no spelling.
+  const auto& [name, id] = names.front();
+  ASSERT_TRUE(registry.RemoveIngredient(id).ok());
+  EXPECT_EQ(registry.FindByName(name), kInvalidIngredient);
+  EXPECT_EQ(registry.FindByName(culinary::ToUpper(name)), kInvalidIngredient);
+  EXPECT_EQ(registry.FindByName(" " + name), kInvalidIngredient);
 }
 
 TEST(NormalizeEntityNameTest, TrimsLowersCollapses) {
