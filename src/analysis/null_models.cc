@@ -58,13 +58,6 @@ culinary::Result<NullModelSampler> NullModelSampler::Make(
   s.kind_ = kind;
   s.num_ingredients_ = ingredients.size();
 
-  // Dense index per ingredient id — matches the order of
-  // cuisine.unique_ingredients(), which is the PairingCache convention.
-  std::unordered_map<flavor::IngredientId, int> dense;
-  for (size_t i = 0; i < ingredients.size(); ++i) {
-    dense[ingredients[i]] = static_cast<int>(i);
-  }
-
   if (kind == NullModelKind::kRandom || kind == NullModelKind::kFrequency) {
     // Empirical recipe-size distribution.
     const culinary::Histogram& hist = cuisine.size_histogram();
