@@ -366,10 +366,10 @@ void SuggestSweep(const ServingSnapshot& snapshot,
         }
       }
       const uint64_t key = SuggestKey(acc[c], cache.IdAt(c));
-      const bool full = kept.size() == k;
-      if (full && key <= kept[0]) continue;
+      const bool heap_full = kept.size() == k;
+      if (heap_full && key <= kept[0]) continue;
       if (job.members.Test(static_cast<flavor::MoleculeId>(c))) continue;
-      if (full) {
+      if (heap_full) {
         ReplaceHeapRoot(kept, key);
       } else {
         kept.push_back(key);
