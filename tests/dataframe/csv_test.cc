@@ -61,6 +61,31 @@ TEST(CsvReadTest, RecordsCarryTheLineTheyStartOn) {
                                })
                   .ok());
   EXPECT_EQ(lines, (std::vector<size_t>{1, 2, 4}));
+
+  // Long quoted records spanning lines, a CRLF record and a lone \r opening
+  // a field: each record still carries the line its first byte is on.
+  const std::string p(3000, 'p'), q(2000, 'q'), r(1000, 'r'), s(500, 's'),
+      t(4000, 't');
+  lines.clear();
+  std::vector<Record> records;
+  ASSERT_TRUE(ForEachCsvRecord("a,b\n\"" + p + "\n" + q + "\n\n\",1\r\n\rx,\"" +
+                                   r + "\r\n" + s + "\"\r\nlast," + t +
+                                   "\n\"u\nv\",w",
+                               {},
+                               [&](size_t line,
+                                   std::span<const CsvField> fields) {
+                                 lines.push_back(line);
+                                 records.emplace_back(fields.begin(),
+                                                      fields.end());
+                                 return culinary::Status::OK();
+                               })
+                  .ok());
+  EXPECT_EQ(lines, (std::vector<size_t>{1, 2, 6, 8, 9}));
+  EXPECT_EQ(records, (std::vector<Record>{{"a", "b"},
+                                          {p + "\n" + q + "\n\n", "1"},
+                                          {"x", r + "\r\n" + s},
+                                          {"last", t},
+                                          {"u\nv", "w"}}));
 }
 
 TEST(CsvReadTest, VisitorErrorStopsTheRead) {
@@ -103,6 +128,14 @@ TEST(CsvReadTest, CrlfLineEndings) {
   ASSERT_TRUE(t.ok());
   ASSERT_EQ(t->size(), 3u);
   EXPECT_EQ((*t)[2][1], "y");
+  // A CRLF record holding a long multi-line quoted field, and a lone \r
+  // opening a field (dropped) beside one inside a field (kept).
+  const std::string m(2000, 'm');
+  auto mixed = Read("a,b\r\n\"" + m + "\r\nn\",\rx\r\ny\rz,\r\r\n");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(*mixed, (std::vector<Record>{{"a", "b"},
+                                         {m + "\r\nn", "x"},
+                                         {"y\rz", std::nullopt}}));
 }
 
 TEST(CsvReadTest, MissingFinalNewline) {
@@ -147,6 +180,24 @@ TEST(CsvReadTest, StrictWidthErrorNamesLineAndColumn) {
   EXPECT_EQ(tail.status().message(),
             "record at line 2 has 1 fields, expected 2; the record ends at "
             "line 3, column 3");
+  // The same positions after long runs: a 5,000-byte unquoted field, and a
+  // quoted field spanning three lines.
+  auto long_wide = Read("a,b\n1," + std::string(5000, 'x') + ",3\n");
+  EXPECT_EQ(long_wide.status().message(),
+            "record at line 2 has 3 fields, expected 2; field 3 starts at "
+            "line 2, column 5004");
+  auto quoted_wide =
+      Read("a,b\n1,\"" + std::string(300, 'p') + "\n" + std::string(200, 'q') +
+           "\n" + std::string(100, 'r') + "\",3\n");
+  EXPECT_EQ(quoted_wide.status().message(),
+            "record at line 2 has 3 fields, expected 2; field 3 starts at "
+            "line 4, column 103");
+  auto long_narrow =
+      Read("a,b,c\n" + std::string(5000, 'x') + ",\"y\n" +
+           std::string(700, 'z') + "\"\n");
+  EXPECT_EQ(long_narrow.status().message(),
+            "record at line 2 has 2 fields, expected 3; the record ends at "
+            "line 3, column 702");
 }
 
 TEST(CsvReadTest, StrictReportsTheFirstDamagedRecordInFileOrder) {
@@ -259,6 +310,11 @@ TEST(CsvTokenizerTest, UnterminatedQuoteAtEofHasLineAndColumn) {
       << t.status().ToString();
   EXPECT_NE(t.status().message().find("column 3"), std::string::npos)
       << t.status().ToString();
+  // After a long run, holding an escaped quote, \r and \n.
+  auto open = Read("a,b\n" + std::string(4500, 'x') + ",\"say \"\"hi\"\"\r\n" +
+                   std::string(100, 'z'));
+  EXPECT_EQ(open.status().message(),
+            "unterminated quoted field starting at line 2, column 4502");
 }
 
 TEST(CsvTokenizerTest, GarbageAfterClosingQuoteHasLineAndColumn) {
@@ -268,6 +324,12 @@ TEST(CsvTokenizerTest, GarbageAfterClosingQuoteHasLineAndColumn) {
       << t.status().ToString();
   EXPECT_NE(t.status().message().find("column"), std::string::npos)
       << t.status().ToString();
+  // A stray byte past column 4,096, after a long unquoted and a long quoted
+  // run.
+  auto far = Read("a,b\n" + std::string(3000, 'x') + ",\"" +
+                  std::string(2000, 'q') + "\"!\n");
+  EXPECT_EQ(far.status().message(),
+            "unexpected character after closing quote at line 2, column 5004");
 }
 
 TEST(CsvTokenizerTest, NoTrailingNewlineStillEmitsFinalRecord) {
@@ -322,6 +384,23 @@ TEST(CsvDegradedTest, SkipAndReportRecoversFromBrokenQuoting) {
   // The quarantined diagnostic carries a location.
   ASSERT_FALSE(sink.diagnostics().empty());
   EXPECT_GT(sink.diagnostics()[0].line, 0u);
+  // An unterminated field holding an escaped quote, \r and \n after a long
+  // run: the diagnostic points at its opening quote, and its snippet is the
+  // field's first bytes with the quotes undone.
+  robustness::ErrorSink open_sink;
+  options.error_sink = &open_sink;
+  auto open = Read("a,b\n1,x\n" + std::string(4500, 'x') +
+                       ",\"say \"\"hi\"\"\r\n" + std::string(100, 'z'),
+                   options);
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(*open, (std::vector<Record>{{"a", "b"}, {"1", "x"}}));
+  ASSERT_EQ(open_sink.diagnostics().size(), 1u);
+  const robustness::Diagnostic& d = open_sink.diagnostics()[0];
+  EXPECT_EQ(d.line, 3u);
+  EXPECT_EQ(d.column, 4502u);
+  EXPECT_EQ(d.message,
+            "unterminated quoted field starting at line 3, column 4502");
+  EXPECT_EQ(d.snippet, "say \"hi\"\r\n" + std::string(38, 'z'));
 }
 
 TEST(CsvDegradedTest, BestEffortPadsAndTruncatesRaggedRows) {
