@@ -49,14 +49,17 @@ culinary::Status ForEachCsvRecord(std::string_view text,
   FieldSpan field;
   enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
   State state = State::kFieldStart;
+  size_t i = 0;              // offset of the current character
   size_t line = 1;
-  size_t column = 0;         // 1-based column of the current character
+  size_t line_start = 0;     // offset of the current line's first byte
   size_t record_line = 1;    // line the in-flight record started on
   size_t quote_line = 0;     // position of the last opening quote
   size_t quote_column = 0;
   size_t excess_line = 0;    // where the first field past the header's
   size_t excess_column = 0;  // width starts
 
+  // The 1-based column of the current character.
+  auto column = [&]() { return i - line_start + 1; };
   auto end_field = [&]() {
     field.end = buffer.size();
     spans.push_back(field);
@@ -68,7 +71,7 @@ culinary::Status ForEachCsvRecord(std::string_view text,
     end_field();
     if (spans.size() == width) {
       excess_line = line;
-      excess_column = column + 1;
+      excess_column = column() + 1;
     }
   };
   auto clear_record = [&]() {
@@ -81,8 +84,8 @@ culinary::Status ForEachCsvRecord(std::string_view text,
     ++stats.records_total;
     ++stats.records_quarantined;
   };
-  // Checks the finished record's width and hands it to `fn`; `column` is
-  // where the record ends.
+  // Checks the finished record's width and hands it to `fn`; the current
+  // character is where the record ends.
   auto end_record = [&]() -> culinary::Status {
     end_field();
     if (width == 0) {
@@ -100,7 +103,7 @@ culinary::Status ForEachCsvRecord(std::string_view text,
               (wide ? "field " + std::to_string(width + 1) + " starts"
                     : std::string("the record ends")) +
               " at line " + std::to_string(wide ? excess_line : line) +
-              ", column " + std::to_string(wide ? excess_column : column));
+              ", column " + std::to_string(wide ? excess_column : column()));
         }
         ReportOrCount(sink, record_line, 0, std::move(message),
                       std::string_view(buffer).substr(
@@ -129,19 +132,18 @@ culinary::Status ForEachCsvRecord(std::string_view text,
   };
   auto end_line = [&]() {
     ++line;
-    column = 0;
+    line_start = i + 1;
     record_line = line;
   };
 
-  for (size_t i = 0; i < text.size(); ++i) {
+  for (; i < text.size(); ++i) {
     const char c = text[i];
-    ++column;
     switch (state) {
       case State::kFieldStart:
         if (c == '"') {
           field.quoted = true;
           quote_line = line;
-          quote_column = column;
+          quote_column = column();
           state = State::kQuoted;
         } else if (c == ',') {
           end_delimited_field();
@@ -166,18 +168,30 @@ culinary::Status ForEachCsvRecord(std::string_view text,
           end_line();
           state = State::kFieldStart;
         } else {
-          buffer.push_back(c);
+          // Copy the run up to the next delimiter or newline in one append;
+          // the loop goes on at that byte.
+          size_t end = i + 1;
+          while (end < text.size() && text[end] != ',' && text[end] != '\n') {
+            ++end;
+          }
+          buffer.append(text.substr(i, end - i));
+          i = end - 1;
         }
         break;
       case State::kQuoted:
         if (c == '"') {
           state = State::kQuoteInQuoted;
         } else {
-          if (c == '\n') {
+          // Copy the run up to the next quote in one append, counting the
+          // lines it spans; the loop goes on at that quote.
+          const std::string_view run = text.substr(i, text.find('"', i) - i);
+          for (size_t nl = run.find('\n'); nl != run.npos;
+               nl = run.find('\n', nl + 1)) {
             ++line;
-            column = 0;
+            line_start = i + nl + 1;
           }
-          buffer.push_back(c);
+          buffer.append(run);
+          i += run.size() - 1;
         }
         break;
       case State::kQuoteInQuoted:
@@ -194,11 +208,11 @@ culinary::Status ForEachCsvRecord(std::string_view text,
         } else if (c != '\r') {  // \r of a \r\n after the closing quote
           std::string message =
               "unexpected character after closing quote at line " +
-              std::to_string(line) + ", column " + std::to_string(column);
+              std::to_string(line) + ", column " + std::to_string(column());
           if (policy == ErrorPolicy::kStrict) {
             return culinary::Status::ParseError(std::move(message));
           }
-          ReportOrCount(sink, line, column, std::move(message),
+          ReportOrCount(sink, line, column(), std::move(message),
                         std::string_view(&c, 1));
           // Resync: drop the damaged record and skip to the next newline.
           drop_record();
@@ -223,12 +237,12 @@ culinary::Status ForEachCsvRecord(std::string_view text,
     drop_record();
   } else if (state != State::kFieldStart || !spans.empty()) {
     // A final record without trailing newline (a \r straggler from an
-    // unterminated \r\n is stripped); it ends one past its last character.
+    // unterminated \r\n is stripped); it ends one past its last character,
+    // where the loop left `i`.
     if (state == State::kUnquoted && buffer.size() > field.begin &&
         buffer.back() == '\r') {
       buffer.pop_back();
     }
-    ++column;
     CULINARY_RETURN_IF_ERROR(end_record());
   }
   if (width == 0) return culinary::Status::ParseError("empty CSV input");
