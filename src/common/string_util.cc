@@ -14,21 +14,6 @@ bool IsAsciiSpace(char c) {
 
 }  // namespace
 
-std::vector<std::string> Split(std::string_view input, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = input.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(input.substr(start));
-      break;
-    }
-    out.emplace_back(input.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::vector<std::string> SplitWhitespace(std::string_view input) {
   std::vector<std::string> out;
   size_t i = 0;

@@ -67,7 +67,7 @@ culinary::Result<std::vector<int32_t>> ParseIds(std::string_view text,
                                                 size_t* dropped = nullptr) {
   std::vector<int32_t> out;
   if (culinary::Trim(text).empty()) return out;
-  for (const std::string& part : culinary::Split(text, ';')) {
+  for (std::string_view part : culinary::SplitParts(text, ';')) {
     std::string_view trimmed = culinary::Trim(part);
     if (trimmed.empty()) continue;
     int32_t id = 0;
@@ -90,7 +90,7 @@ std::string JoinStrings(const std::vector<std::string>& parts) {
 
 std::vector<std::string> SplitNonEmpty(std::string_view text) {
   std::vector<std::string> out;
-  for (const std::string& part : culinary::Split(text, ';')) {
+  for (std::string_view part : culinary::SplitParts(text, ';')) {
     std::string_view trimmed = culinary::Trim(part);
     if (!trimmed.empty()) out.emplace_back(trimmed);
   }

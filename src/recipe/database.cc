@@ -163,7 +163,7 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
     }
     std::vector<flavor::IngredientId> ids;
     size_t dropped_names = 0;
-    for (const std::string& raw : culinary::Split(*ingredients, ';')) {
+    for (std::string_view raw : culinary::SplitParts(*ingredients, ';')) {
       std::string_view trimmed = culinary::Trim(raw);
       if (trimmed.empty()) continue;
       flavor::IngredientId id = registry->FindByName(trimmed);

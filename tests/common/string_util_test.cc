@@ -5,6 +5,13 @@
 namespace culinary {
 namespace {
 
+/// Copies out the parts `SplitParts` yields.
+std::vector<std::string> Split(std::string_view input, char sep) {
+  std::vector<std::string> out;
+  for (std::string_view part : SplitParts(input, sep)) out.emplace_back(part);
+  return out;
+}
+
 TEST(SplitTest, BasicSplit) {
   EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
 }
@@ -20,6 +27,16 @@ TEST(SplitTest, EmptyInputYieldsOneEmptyField) {
 
 TEST(SplitTest, NoSeparatorYieldsWholeInput) {
   EXPECT_EQ(Split("abc", ','), (std::vector<std::string>{"abc"}));
+}
+
+TEST(SplitTest, PartsAreViewsIntoTheInput) {
+  const std::string_view input = "ab;;c";
+  std::vector<const char*> starts;
+  for (std::string_view part : SplitParts(input, ';')) {
+    starts.push_back(part.data());
+  }
+  EXPECT_EQ(starts, (std::vector<const char*>{input.data(), input.data() + 3,
+                                              input.data() + 4}));
 }
 
 TEST(SplitWhitespaceTest, DropsEmptyFields) {
