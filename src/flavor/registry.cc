@@ -1,31 +1,10 @@
 #include "flavor/registry.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/string_util.h"
 
 namespace culinary::flavor {
-
-namespace {
-
-/// True when `NormalizeEntityName(name) == name`: no ASCII space at either
-/// end, no byte that std::tolower changes, no tab and no two adjacent
-/// spaces.
-bool IsNormalizedName(std::string_view name) {
-  if (culinary::Trim(name).size() != name.size()) return false;
-  char prev = '\0';
-  for (char c : name) {
-    const int byte = static_cast<unsigned char>(c);
-    if (c == '\t' || (c == ' ' && prev == ' ') || std::tolower(byte) != byte) {
-      return false;
-    }
-    prev = c;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string NormalizeEntityName(std::string_view name) {
   std::string lower = culinary::ToLower(culinary::Trim(name));
@@ -199,13 +178,15 @@ culinary::Status FlavorRegistry::RestoreIngredient(
 }
 
 IngredientId FlavorRegistry::FindByName(std::string_view name) const {
-  std::string normalized;
-  if (!IsNormalizedName(name)) {
-    normalized = NormalizeEntityName(name);
-    name = normalized;
-  }
+  // Every key is normalized, and normalizing a normalized name leaves it
+  // as it is: a hit on `name` as given is the hit its normalized form gets.
   auto it = name_index_.find(name);
-  if (it == name_index_.end()) return kInvalidIngredient;
+  if (it == name_index_.end()) {
+    const std::string normalized = NormalizeEntityName(name);
+    if (normalized == name) return kInvalidIngredient;
+    it = name_index_.find(normalized);
+    if (it == name_index_.end()) return kInvalidIngredient;
+  }
   if (ingredients_[static_cast<size_t>(it->second)].removed) {
     return kInvalidIngredient;
   }

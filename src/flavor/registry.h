@@ -84,8 +84,11 @@ class FlavorRegistry {
   /// synonyms of live entities must not collide.
   culinary::Status RestoreIngredient(const Ingredient& ingredient);
 
-  /// Resolves a normalized name or synonym (case-insensitive);
-  /// `kInvalidIngredient` when nothing matches.
+  /// Resolves a name or synonym as `NormalizeEntityName` spells it, so case,
+  /// surrounding whitespace and runs of spaces or tabs do not matter;
+  /// `kInvalidIngredient` when no live ingredient matches. The name is
+  /// looked up as given first, and normalized and looked up again only on
+  /// a miss that normalizing changes.
   IngredientId FindByName(std::string_view name) const;
 
   /// Ingredient by id; OutOfRange for invalid ids (including tombstones
