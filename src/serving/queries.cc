@@ -280,6 +280,10 @@ void GatherSuggestJob(const ServingSnapshot& snapshot, const Request& request,
     response.status = set.status();
     return;
   }
+  if (request.k == 0) {  // a valid set, and nothing to rank
+    response.payload = std::vector<Suggestion>();
+    return;
+  }
   SuggestJob job;
   job.index = index;
   job.set = std::move(set).value();
@@ -344,13 +348,8 @@ void SuggestSweep(const ServingSnapshot& snapshot,
     if (job.failed) continue;
     // k is wire-controlled; the heap can never hold more than the n
     // candidates, so clamp before reserving or an absurd k would throw
-    // length_error in the worker thread.
+    // length_error in the worker thread. A job has k >= 1 and n >= 1.
     const size_t k = std::min(job.k, n);
-    std::vector<Suggestion> suggestions;
-    if (k == 0) {
-      responses[job.index].payload = std::move(suggestions);
-      continue;
-    }
     kept.clear();
     kept.reserve(k);
     const uint32_t* acc = job.acc.data();
@@ -381,6 +380,7 @@ void SuggestSweep(const ServingSnapshot& snapshot,
     if (stopped) continue;
     std::sort(kept.begin(), kept.end(), std::greater<>());
     const double m = static_cast<double>(job.set.size());
+    std::vector<Suggestion> suggestions;
     suggestions.reserve(kept.size());
     for (uint64_t key : kept) {
       Suggestion s;

@@ -217,6 +217,20 @@ TEST(ServingEquivalenceTest, SuggestMatchesBruteForceAtEdgesOfK) {
         EXPECT_EQ(suggestions[j].gain, expected[j].first) << "rank " << j;
       }
     }
+    // A k = 0 suggest is answered without the sweep, but only once its set
+    // resolves: with no resolvable name it gets the error k = 10 gets.
+    std::vector<Request> unresolvable(2);
+    for (size_t j = 0; j < unresolvable.size(); ++j) {
+      unresolvable[j].endpoint = Endpoint::kSuggest;
+      unresolvable[j].ingredient_names = {"no such ingredient"};
+      unresolvable[j].k = j == 0 ? 0 : 10;
+    }
+    const std::vector<Response> rejected =
+        EvaluateBatch(snapshot, unresolvable);
+    ASSERT_EQ(rejected.size(), 2u);
+    EXPECT_TRUE(rejected[0].status.IsInvalidArgument())
+        << rejected[0].status.ToString();
+    EXPECT_EQ(rejected[0].status.ToString(), rejected[1].status.ToString());
   }
 }
 
