@@ -28,7 +28,8 @@ constexpr size_t kStopCheckStride = 1024;
 std::string NameFor(const flavor::FlavorRegistry& registry,
                     flavor::IngredientId id) {
   const flavor::Ingredient* ing = registry.Find(id);
-  return ing != nullptr ? ing->name : "#" + std::to_string(id);
+  return ing != nullptr ? ing->name
+                        : std::string("#").append(std::to_string(id));
 }
 
 /// Index of `region` within `snapshot.cuisines()`; nullopt for kWorld or a
@@ -121,7 +122,7 @@ void ResolveIds(const flavor::FlavorRegistry& registry,
                 std::vector<std::string>* unresolved) {
   for (flavor::IngredientId id : raw) {
     if (registry.Find(id) == nullptr) {
-      unresolved->push_back("#" + std::to_string(id));
+      unresolved->push_back(std::string("#").append(std::to_string(id)));
     } else {
       ids->push_back(id);
     }

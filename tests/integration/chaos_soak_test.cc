@@ -268,7 +268,8 @@ std::string RecipesDigest(const recipe::RecipeDatabase& db) {
   for (const recipe::Recipe& r : db.recipes()) {
     std::string line(recipe::RegionCode(r.region));
     for (flavor::IngredientId id : r.ingredients) {
-      line += "," + std::to_string(id);
+      line += ',';
+      line += std::to_string(id);
     }
     lines.push_back(std::move(line));
   }

@@ -47,7 +47,8 @@ TEST(TraceSinkTest, RecordsInOrder) {
 TEST(TraceSinkTest, RingOverwritesOldest) {
   TraceSink sink(3);
   for (int i = 0; i < 5; ++i) {
-    sink.Record(MakeEvent("e" + std::to_string(i), static_cast<uint64_t>(i)));
+    sink.Record(MakeEvent(std::string("e").append(std::to_string(i)),
+                          static_cast<uint64_t>(i)));
   }
   std::vector<TraceEvent> events = sink.Snapshot();
   // e0 and e1 were overwritten; e2..e4 survive, oldest first.

@@ -58,7 +58,8 @@ TEST(CsvFuzzTest, ArbitraryStringTablesRoundTrip) {
       for (int c = 0; c < 3; ++c) {
         // An empty field reads back as missing: force non-empty content by
         // prefixing a letter.
-        row.push_back(df::Value::Str("x" + RandomCsvString(rng, 24)));
+        row.push_back(
+            df::Value::Str(std::string("x").append(RandomCsvString(rng, 24))));
       }
       ASSERT_TRUE(table->AppendRow(row).ok());
     }
@@ -365,8 +366,9 @@ TEST(PairingCacheFuzzTest, DenseAndIdLookupsAgree) {
       for (int32_t m = 0; m < 50; ++m) {
         if (rng.NextBernoulli(0.25)) mols.push_back(m);
       }
-      ids.push_back(reg.AddIngredient("i" + std::to_string(i),
-                                      flavor::Category::kPlant,
+      std::string name = "i";
+      name += std::to_string(i);
+      ids.push_back(reg.AddIngredient(name, flavor::Category::kPlant,
                                       flavor::FlavorProfile(mols))
                         .value());
     }
@@ -392,9 +394,10 @@ TEST(GroupByFuzzTest, CountsSumToTableRows) {
     for (size_t r = 0; r < rows; ++r) {
       const double v = rng.NextDouble();
       expected += v;
+      std::string key = "k";
+      key += std::to_string(rng.NextBounded(7));
       ASSERT_TRUE(table
-                      ->AppendRow({df::Value::Str("k" + std::to_string(
-                                                            rng.NextBounded(7))),
+                      ->AppendRow({df::Value::Str(std::move(key)),
                                    df::Value::Real(v), df::Value::Str("y")})
                       .ok());
     }

@@ -308,7 +308,8 @@ TEST(ServingEquivalenceTest, SuggestTopKIdenticalAcrossThreadCounts) {
     transcript.reserve(futures.size());
     for (size_t i = 0; i < futures.size(); ++i) {
       transcript.push_back(
-          SerializeResponse("r" + std::to_string(i), futures[i].get()));
+          SerializeResponse(std::string("r").append(std::to_string(i)),
+                            futures[i].get()));
     }
     engine.Stop();
     transcripts.push_back(std::move(transcript));
