@@ -49,6 +49,7 @@ culinary::Status ForEachCsvRecord(std::string_view text,
   FieldSpan field;
   enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteInQuoted };
   State state = State::kFieldStart;
+  const size_t n = text.size();
   size_t i = 0;              // offset of the current character
   size_t line = 1;
   size_t line_start = 0;     // offset of the current line's first byte
@@ -136,7 +137,7 @@ culinary::Status ForEachCsvRecord(std::string_view text,
     record_line = line;
   };
 
-  for (; i < text.size(); ++i) {
+  for (; i < n; ++i) {
     const char c = text[i];
     switch (state) {
       case State::kFieldStart:
@@ -145,16 +146,11 @@ culinary::Status ForEachCsvRecord(std::string_view text,
           quote_line = line;
           quote_column = column();
           state = State::kQuoted;
-        } else if (c == ',') {
-          end_delimited_field();
-        } else if (c == '\n') {
-          CULINARY_RETURN_IF_ERROR(end_record());
-          end_line();
-        } else if (c != '\r') {  // a \r is swallowed; \n ends the record
-          buffer.push_back(c);
-          state = State::kUnquoted;
+          break;
         }
-        break;
+        if (c == '\r') break;  // swallowed at the start of a field
+        // Anything else reads as in an unquoted field, which is empty so far.
+        [[fallthrough]];
       case State::kUnquoted:
         if (c == ',') {
           end_delimited_field();
@@ -171,11 +167,10 @@ culinary::Status ForEachCsvRecord(std::string_view text,
           // Copy the run up to the next delimiter or newline in one append;
           // the loop goes on at that byte.
           size_t end = i + 1;
-          while (end < text.size() && text[end] != ',' && text[end] != '\n') {
-            ++end;
-          }
+          while (end < n && text[end] != ',' && text[end] != '\n') ++end;
           buffer.append(text.substr(i, end - i));
           i = end - 1;
+          state = State::kUnquoted;
         }
         break;
       case State::kQuoted:
@@ -185,11 +180,9 @@ culinary::Status ForEachCsvRecord(std::string_view text,
           // Copy the run up to the next quote in one append, counting the
           // lines it spans; the loop goes on at that quote.
           const std::string_view run = text.substr(i, text.find('"', i) - i);
-          for (size_t nl = run.find('\n'); nl != run.npos;
-               nl = run.find('\n', nl + 1)) {
-            ++line;
-            line_start = i + nl + 1;
-          }
+          line += std::count(run.begin(), run.end(), '\n');
+          const size_t last_newline = run.rfind('\n');
+          if (last_newline != run.npos) line_start = i + last_newline + 1;
           buffer.append(run);
           i += run.size() - 1;
         }
@@ -216,8 +209,8 @@ culinary::Status ForEachCsvRecord(std::string_view text,
                         std::string_view(&c, 1));
           // Resync: drop the damaged record and skip to the next newline.
           drop_record();
-          while (i < text.size() && text[i] != '\n') ++i;
-          if (i < text.size()) end_line();
+          while (i < n && text[i] != '\n') ++i;
+          if (i < n) end_line();
           state = State::kFieldStart;
         }
         break;
