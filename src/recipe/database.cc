@@ -162,23 +162,20 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
                         *region_code);
     }
     std::vector<flavor::IngredientId> ids;
-    size_t dropped_names = 0;
     for (std::string_view raw : culinary::SplitParts(*ingredients, ';')) {
       std::string_view trimmed = culinary::Trim(raw);
       if (trimmed.empty()) continue;
       flavor::IngredientId id = registry->FindByName(trimmed);
       if (id != flavor::kInvalidIngredient) {
         ids.push_back(id);
+      } else if (strict_rows) {
+        return culinary::Status::ParseError(
+            "row " + std::to_string(row) + ": unknown ingredient '" +
+            std::string(trimmed) + "'");
       } else {
-        if (strict_rows) {
-          return culinary::Status::ParseError(
-              "row " + std::to_string(row) + ": unknown ingredient '" +
-              std::string(trimmed) + "'");
-        }
-        ++dropped_names;
+        ++local.ingredient_names_dropped;
       }
     }
-    local.ingredient_names_dropped += dropped_names;
     if (ids.empty()) {
       return quarantine("no resolvable ingredient", *ingredients);
     }
