@@ -11,38 +11,30 @@ namespace culinary {
 /// The parts of `input` between occurrences of the single character `sep`,
 /// as views into `input` for a range-for; nothing is allocated. Empty parts
 /// are kept: "a,,b" on ',' gives "a", "", "b", and an empty input gives one
-/// empty part, matching Python's `str.split(sep)`.
+/// empty part, matching Python's `str.split(sep)`. The range is its own
+/// iterator.
 class SplitParts {
  public:
-  SplitParts(std::string_view input, char sep) : input_(input), sep_(sep) {}
+  SplitParts(std::string_view input, char sep) : rest_(input), sep_(sep) {}
 
-  class Iterator {
-   public:
-    Iterator(std::string_view rest, char sep) : rest_(rest), sep_(sep) {}
-    std::string_view operator*() const { return rest_.substr(0, end_); }
-    Iterator& operator++() {
-      done_ = end_ == rest_.npos;
-      if (!done_) {
-        rest_.remove_prefix(end_ + 1);
-        end_ = rest_.find(sep_);
-      }
-      return *this;
-    }
-    bool operator==(std::default_sentinel_t) const { return done_; }
-
-   private:
-    std::string_view rest_;  // the current part and everything after it
-    char sep_;
-    size_t end_ = rest_.find(sep_);  // the current part's end; npos if last
-    bool done_ = false;
-  };
-
-  Iterator begin() const { return Iterator(input_, sep_); }
+  SplitParts begin() const { return *this; }
   std::default_sentinel_t end() const { return {}; }
+  std::string_view operator*() const { return rest_.substr(0, end_); }
+  SplitParts& operator++() {
+    done_ = end_ == rest_.npos;
+    if (!done_) {
+      rest_.remove_prefix(end_ + 1);
+      end_ = rest_.find(sep_);
+    }
+    return *this;
+  }
+  bool operator==(std::default_sentinel_t) const { return done_; }
 
  private:
-  std::string_view input_;
+  std::string_view rest_;  // the current part and everything after it
   char sep_;
+  size_t end_ = rest_.find(sep_);  // the current part's end; npos if last
+  bool done_ = false;
 };
 
 /// Splits `input` on any run of ASCII whitespace; empty fields are dropped,
